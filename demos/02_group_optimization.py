@@ -15,7 +15,6 @@ from entrl import (
     OptimConfig,
     PolicyConfig,
     RolloutGroup,
-    TokenLogProbs,
     gen_lexicon,
     group_advantages,
     init_activation_prior,
@@ -35,8 +34,8 @@ print()
 
 # The ratio is per-token in log space, then averaged, then exponentiated,
 # so a uniform shift of +0.25 nats over any length gives exactly e^0.25.
-logps = TokenLogProbs(tokens=tuple(range(7)), old_logp=np.full(7, -1.0), new_logp=np.full(7, -0.75))
-print("seq ratio for +0.25 nats/token:", seq_importance_ratio(logps))
+ratio = seq_importance_ratio(np.full(7, -0.75), np.full(7, -1.0))
+print("seq ratio for +0.25 nats/token:", ratio)
 print()
 
 # One real update step on the toy policy.
@@ -52,15 +51,17 @@ members = []
 for m in range(4):
     rollout = sample_rollout(policy, entity, max_len=12, seed=(0, m))
     # Alternating rewards stand in for the scorer so the group carries signal.
-    rollout.logps.new_logp = policy.token_logps(entity, rollout.tokens)
-    members.append(GroupMember(rollout.logps, reward=1.2 if m % 2 else 0.2))
+    members.append(GroupMember(rollout.tokens, rollout.old_logp, reward=1.2 if m % 2 else 0.2))
 group = RolloutGroup(
     entity, members,
     advantages=group_advantages(np.array([m.reward for m in members])),
     snapshot_version=policy.snapshot_version,
 )
 
-before = surrogate_objective([group], config)
-after = policy_update_step(policy, [group], config, rng=np.random.default_rng(0))
+# The update only moves the live parameters; the objective is evaluated
+# against them separately, before and after.
+before = surrogate_objective(policy, [group], config)
+policy_update_step(policy, [group], config, rng=np.random.default_rng(0))
+after = surrogate_objective(policy, [group], config)
 print(f"surrogate objective: {before:.6f} -> {after:.6f}")
 print("update moved", np.count_nonzero(policy.logits != policy.params_old), "of", policy.n_params, "parameters")

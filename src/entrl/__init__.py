@@ -35,7 +35,6 @@ from .optim import (
     GroupMember,
     OptimConfig,
     RolloutGroup,
-    TokenLogProbs,
     clipped_term,
     group_advantages,
     policy_update_step,
@@ -107,7 +106,6 @@ __all__ = [
     "RolloutScore",
     "ScoreSummary",
     "SyntheticLexicon",
-    "TokenLogProbs",
     "ToyPolicy",
     "TrainMetricsRow",
     "TrainResult",

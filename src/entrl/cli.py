@@ -272,14 +272,17 @@ def cmd_train(args: argparse.Namespace) -> int:
     optim_cfg = optim_config_from(doc)
     section = doc.get("train", {})
 
-    steps = args.steps if args.steps is not None else int(section.get("steps", 2000))
-    seed = args.seed if args.seed is not None else int(section.get("seed", 0))
+    try:
+        steps = args.steps if args.steps is not None else int(section.get("steps", 2000))
+        seed = args.seed if args.seed is not None else int(section.get("seed", 0))
+        max_len = int(section.get("max_len", 24))
+        temperature = float(section.get("temperature", 1.0))
+        target = float(section.get("target_pass1_max", 0.10))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CliError(f"bad train config: {exc}") from None
     ablation = args.ablation or section.get("ablation", "full")
     if ablation not in ABLATIONS:
         raise CliError(f"unknown ablation {ablation!r}, expected one of {ABLATIONS}")
-    max_len = int(section.get("max_len", 24))
-    temperature = float(section.get("temperature", 1.0))
-    target = float(section.get("target_pass1_max", 0.10))
     lexicon_path = args.lexicon or section.get("lexicon")
     if not lexicon_path:
         raise CliError("no lexicon: pass --lexicon or set train.lexicon in the config")

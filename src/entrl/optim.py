@@ -11,6 +11,11 @@ and the objective is the clipped surrogate
 
     J = mean_groups (1/G) sum_i min( s_i * A_i,  clip(s_i, 1-eps_low, 1+eps_high) * A_i ).
 
+``old_logp`` is recorded under the snapshot that sampled the rollout and
+stored on its ``GroupMember``; ``new_logp`` is computed from the live policy
+whenever a ratio is needed, so both the objective and the update are pure
+functions of (policy, groups) and no group carries state between passes.
+
 The clip band is asymmetric and deliberately tight; once a term is clipped
 it is constant in the parameters and contributes zero gradient, so later
 passes over the same batch cannot push a sequence further.
@@ -24,7 +29,6 @@ import numpy as np
 
 __all__ = [
     "OptimConfig",
-    "TokenLogProbs",
     "GroupMember",
     "RolloutGroup",
     "group_advantages",
@@ -60,51 +64,21 @@ class OptimConfig:
             eps = getattr(self, name)
             if not 0.0 < eps < 1.0:
                 raise ValueError(f"{name} must be in (0, 1), got {eps}")
-        if self.learning_rate < 0.0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not 0.0 <= self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.mini_batch_size < 1 or self.updates_per_batch < 1:
             raise ValueError("mini_batch_size and updates_per_batch must be >= 1")
-        if self.std_floor <= 0.0:
-            raise ValueError(f"std_floor must be positive, got {self.std_floor}")
-
-
-@dataclass
-class TokenLogProbs:
-    """Per-token log-probabilities of one sampled sequence.
-
-    ``old_logp`` is recorded under the frozen snapshot that sampled the
-    sequence and never changes; ``new_logp`` is recomputed under the current
-    parameters by update passes and is None until then.
-    """
-
-    tokens: tuple[int, ...]
-    old_logp: np.ndarray
-    new_logp: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        self.tokens = tuple(int(t) for t in self.tokens)
-        self.old_logp = np.asarray(self.old_logp, dtype=float)
-        if not self.tokens:
-            raise ValueError("empty token sequence")
-        if self.old_logp.shape != (len(self.tokens),):
-            raise ValueError(
-                f"old_logp shape {self.old_logp.shape} != ({len(self.tokens)},)"
-            )
-        if np.any(self.old_logp > 0.0):
-            raise ValueError("log-probabilities must be <= 0")
-        if self.new_logp is not None:
-            self.new_logp = np.asarray(self.new_logp, dtype=float)
-            if self.new_logp.shape != self.old_logp.shape:
-                raise ValueError("new_logp shape mismatch")
-            if np.any(self.new_logp > 0.0):
-                raise ValueError("log-probabilities must be <= 0")
+        if not 0.0 < self.std_floor < np.inf:
+            raise ValueError(f"std_floor must be finite and positive, got {self.std_floor}")
 
 
 @dataclass
 class GroupMember:
-    """One rollout: its token log-probs and scalar reward."""
+    """One rollout: its tokens, their log-probs under the sampling snapshot,
+    and its scalar reward."""
 
-    logps: TokenLogProbs
+    tokens: tuple[int, ...]
+    old_logp: np.ndarray
     reward: float
 
 
@@ -120,14 +94,6 @@ class RolloutGroup:
     members: list[GroupMember]
     advantages: np.ndarray | None = None
     snapshot_version: int | None = None
-
-    def __post_init__(self) -> None:
-        if not self.members:
-            raise ValueError("group has no members")
-        if self.advantages is not None:
-            self.advantages = np.asarray(self.advantages, dtype=float)
-            if self.advantages.shape != (len(self.members),):
-                raise ValueError("advantages length != member count")
 
 
 def group_advantages(rewards, std_floor: float = 1e-6) -> np.ndarray:
@@ -148,49 +114,69 @@ def group_advantages(rewards, std_floor: float = 1e-6) -> np.ndarray:
     return (r - r.mean()) / std
 
 
-def seq_importance_ratio(logps: TokenLogProbs) -> float:
+def seq_importance_ratio(new_logp: np.ndarray, old_logp: np.ndarray) -> float:
     """Length-normalized sequence ratio exp(mean(new_logp - old_logp)).
 
     Working in log space first keeps long sequences from under/overflowing;
     the 1/|y| normalization makes the ratio comparable across lengths.
     Identical log-probs give exactly 1.0.
     """
-    if logps.new_logp is None:
-        raise ValueError("new_logp not computed for this sequence")
-    return float(np.exp(np.mean(logps.new_logp - logps.old_logp)))
+    return float(np.exp(np.mean(new_logp - old_logp)))
 
 
 def clipped_term(s: float, advantage: float, eps_low: float, eps_high: float) -> float:
-    """One rollout's surrogate term min(s*A, clip(s, 1-eps_low, 1+eps_high)*A)."""
+    """One rollout's surrogate term min(s*A, clip(s, 1-eps_low, 1+eps_high)*A).
+
+    The result equals ``s * advantage`` exactly when the unclipped branch is
+    selected, i.e. when the term still carries gradient.
+    """
     clipped_s = min(max(s, 1.0 - eps_low), 1.0 + eps_high)
     return min(s * advantage, clipped_s * advantage)
 
 
-def surrogate_objective(groups: list[RolloutGroup], config: OptimConfig) -> float:
-    """Mean over groups of the per-group mean clipped term.
-
-    Every group must already carry advantages and current-parameter
-    log-probabilities.  At unchanged parameters all ratios are 1 and the
-    objective is exactly the mean advantage, i.e. 0 for full groups.
-    """
+def _check_groups(policy, groups: list[RolloutGroup]) -> None:
     if not groups:
         raise ValueError("no groups")
-    total = 0.0
     for grp in groups:
+        if not grp.members:
+            raise ValueError(f"group {grp.prompt_id!r} has no members")
         if grp.advantages is None:
             raise ValueError(f"group {grp.prompt_id!r} has no advantages")
+        if len(grp.advantages) != len(grp.members):
+            raise ValueError(f"group {grp.prompt_id!r}: advantages length != member count")
+        if grp.snapshot_version is not None and grp.snapshot_version != policy.snapshot_version:
+            raise ValueError(
+                f"stale rollouts: group {grp.prompt_id!r} sampled under snapshot "
+                f"{grp.snapshot_version}, policy is at {policy.snapshot_version}"
+            )
+        for member in grp.members:
+            if not member.tokens:
+                raise ValueError("empty token sequence")
+            if np.shape(member.old_logp) != (len(member.tokens),):
+                raise ValueError(
+                    f"old_logp shape {np.shape(member.old_logp)} != ({len(member.tokens)},)"
+                )
+            if np.any(np.greater(member.old_logp, 0.0)):
+                raise ValueError("log-probabilities must be <= 0")
+
+
+def surrogate_objective(policy, groups: list[RolloutGroup], config: OptimConfig) -> float:
+    """Mean over groups of the per-group mean clipped term.
+
+    Ratios use the policy's live log-probabilities.  At unchanged
+    parameters all ratios are 1 and the objective is exactly the mean
+    advantage, i.e. 0 for full groups.
+    """
+    _check_groups(policy, groups)
+    total = 0.0
+    for grp in groups:
         acc = 0.0
         for member, adv in zip(grp.members, grp.advantages):
-            s = seq_importance_ratio(member.logps)
+            new_logp = policy.token_logps(grp.prompt_id, member.tokens)
+            s = seq_importance_ratio(new_logp, member.old_logp)
             acc += clipped_term(s, float(adv), config.eps_low, config.eps_high)
         total += acc / len(grp.members)
     return total / len(groups)
-
-
-def _refresh_new_logps(policy, groups: list[RolloutGroup]) -> None:
-    for grp in groups:
-        for member in grp.members:
-            member.logps.new_logp = policy.token_logps(grp.prompt_id, member.logps.tokens)
 
 
 def policy_update_step(
@@ -198,7 +184,7 @@ def policy_update_step(
     groups: list[RolloutGroup],
     config: OptimConfig,
     rng: np.random.Generator | None = None,
-) -> float:
+) -> None:
     """Run one outer optimization step over a batch of groups.
 
     The groups are shuffled and split into ``config.updates_per_batch``
@@ -212,20 +198,10 @@ def policy_update_step(
     ``accumulate_score_grad(prompt_id, tokens, coeff, grad)`` and
     ``apply_gradient(grad, learning_rate)``.
 
-    Returns the surrogate objective evaluated after the last mini-batch,
-    with every member's ``new_logp`` refreshed under the final parameters.
-    Raises if any group was sampled under a different policy snapshot.
+    Only the policy's live parameters change; the groups are left as they
+    were.  Raises if any group was sampled under a different policy snapshot.
     """
-    if not groups:
-        raise ValueError("no groups")
-    for grp in groups:
-        if grp.advantages is None:
-            raise ValueError(f"group {grp.prompt_id!r} has no advantages")
-        if grp.snapshot_version is not None and grp.snapshot_version != policy.snapshot_version:
-            raise ValueError(
-                f"stale rollouts: group {grp.prompt_id!r} sampled under snapshot "
-                f"{grp.snapshot_version}, policy is at {policy.snapshot_version}"
-            )
+    _check_groups(policy, groups)
     if rng is None:
         rng = np.random.default_rng(0)
 
@@ -240,14 +216,9 @@ def policy_update_step(
                 adv = float(adv)
                 if adv == 0.0:
                     continue
-                lp = member.logps
-                lp.new_logp = policy.token_logps(grp.prompt_id, lp.tokens)
-                s = seq_importance_ratio(lp)
-                clipped_s = min(max(s, 1.0 - config.eps_low), 1.0 + config.eps_high)
-                if s * adv <= clipped_s * adv:
-                    coeff = adv * s / (len(lp.tokens) * len(grp.members) * chunk.size)
-                    policy.accumulate_score_grad(grp.prompt_id, lp.tokens, coeff, grad)
+                new_logp = policy.token_logps(grp.prompt_id, member.tokens)
+                s = seq_importance_ratio(new_logp, member.old_logp)
+                if clipped_term(s, adv, config.eps_low, config.eps_high) == s * adv:
+                    coeff = adv * s / (len(member.tokens) * len(grp.members) * chunk.size)
+                    policy.accumulate_score_grad(grp.prompt_id, member.tokens, coeff, grad)
         policy.apply_gradient(grad, config.learning_rate)
-
-    _refresh_new_logps(policy, groups)
-    return surrogate_objective(groups, config)

@@ -14,6 +14,7 @@ reasoning segment earns nothing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .textnorm import GoldEntitySet, match_entity
@@ -45,8 +46,8 @@ class RewardConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.tau <= 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError(f"tau must be finite and positive, got {self.tau}")
         if self.length_unit not in ("characters", "tokens"):
             raise ValueError(f"unknown length_unit {self.length_unit!r}")
         if not self.open_marker or not self.close_marker:

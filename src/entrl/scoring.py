@@ -48,6 +48,8 @@ def decode_line(raw: bytes | str) -> dict:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise RecordError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise RecordError("invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise RecordError("record is not a JSON object")
     return obj
@@ -168,9 +170,7 @@ def _encode_reply(reply: dict) -> bytes:
 
 class _LineHandler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
-        for raw in self.rfile:
-            self.wfile.write(_encode_reply(_service_reply(raw, self.server.reward_config)))
-            self.wfile.flush()
+        serve_stdio(self.server.reward_config, self.rfile, self.wfile)
 
 
 class RewardService(socketserver.ThreadingTCPServer):

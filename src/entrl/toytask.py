@@ -27,7 +27,6 @@ from .optim import (
     GroupMember,
     OptimConfig,
     RolloutGroup,
-    TokenLogProbs,
     group_advantages,
     policy_update_step,
 )
@@ -403,7 +402,7 @@ class Rollout:
 
     entity_id: str
     tokens: tuple[int, ...]
-    logps: TokenLogProbs
+    old_logp: np.ndarray
     truncated: bool
     entropies: np.ndarray
 
@@ -447,9 +446,8 @@ def sample_rollout(policy: ToyPolicy, entity_id: str, max_len: int, seed) -> Rol
         if tok == EOS:
             break
 
-    lp = TokenLogProbs(tuple(tokens), np.asarray(logps))
-    return Rollout(entity_id, tuple(tokens), lp, truncated=tokens[-1] != EOS,
-                   entropies=np.asarray(ents))
+    return Rollout(entity_id, tuple(tokens), np.asarray(logps),
+                   truncated=tokens[-1] != EOS, entropies=np.asarray(ents))
 
 
 def render_response(
@@ -737,7 +735,7 @@ def train(
                 breakdown, seg = score_response(
                     raw, golds[ent_id], refs[ent_id], reward_cfg, ablation
                 )
-                members.append(GroupMember(ro.logps, breakdown.reward))
+                members.append(GroupMember(ro.tokens, ro.old_logp, breakdown.reward))
                 rewards[m_idx] = breakdown.reward
                 trans_len = len(seg.trans.split())
                 reward_sum += breakdown.reward

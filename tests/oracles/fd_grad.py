@@ -18,7 +18,6 @@ from entrl import (
     GroupMember,
     OptimConfig,
     RolloutGroup,
-    TokenLogProbs,
     gen_lexicon,
     group_advantages,
     policy_update_step,
@@ -47,7 +46,7 @@ def build_fixture(seed: int = 0, n_groups: int = 6, group_size: int = 4):
         members = []
         for m in range(group_size):
             ro = sample_rollout(policy, ent, max_len=6, seed=(seed, g, m))
-            members.append(GroupMember(logps=ro.logps, reward=0.0))
+            members.append(GroupMember(ro.tokens, ro.old_logp, reward=0.0))
         while True:
             rewards = rng.choice([0.0, 0.2, 1.2], size=group_size)
             if rewards.std() > 1e-6:
@@ -73,8 +72,9 @@ def assert_clip_margins(policy, groups, config: OptimConfig, min_margin: float):
     saw_clipped = saw_active = False
     for grp in groups:
         for member in grp.members:
-            member.logps.new_logp = policy.token_logps(grp.prompt_id, member.logps.tokens)
-            s = seq_importance_ratio(member.logps)
+            s = seq_importance_ratio(
+                policy.token_logps(grp.prompt_id, member.tokens), member.old_logp
+            )
             lo, hi = 1.0 - config.eps_low, 1.0 + config.eps_high
             margin = min(abs(s - lo), abs(s - hi))
             assert margin > min_margin, f"ratio {s} too close to clip boundary"
@@ -90,12 +90,7 @@ def objective_at(policy, groups, config: OptimConfig, flat_logits: np.ndarray) -
     saved = policy.logits
     policy.logits = flat_logits.reshape(policy.logits.shape)
     try:
-        for grp in groups:
-            for member in grp.members:
-                member.logps.new_logp = policy.token_logps(
-                    grp.prompt_id, member.logps.tokens
-                )
-        return surrogate_objective(groups, config)
+        return surrogate_objective(policy, groups, config)
     finally:
         policy.logits = saved
 

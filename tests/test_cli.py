@@ -324,6 +324,13 @@ class TestTrainCommand:
         assert code == 1
         assert "unknown ablation" in capsys.readouterr().err
 
+    def test_bad_train_value_reported(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"train": {"steps": "abc"}}')
+        code = main(["train", "--config", str(cfg), "--lexicon", "x", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "bad train config" in capsys.readouterr().err
+
     def test_end_to_end_artifacts(self, tmp_path, capsys):
         task = tmp_path / "task"
         assert main(["gen", "--seed", "42", "--out", str(task)]) == 0

@@ -10,7 +10,6 @@ from entrl import (
     GroupMember,
     OptimConfig,
     RolloutGroup,
-    TokenLogProbs,
     clipped_term,
     group_advantages,
     policy_update_step,
@@ -80,55 +79,73 @@ class TestGroupAdvantages:
 class TestSeqImportanceRatio:
     def test_frozen_value(self):
         # Mean logp delta 0.25 -> e^0.25, from tests/oracles/optim_values.py.
-        lp = TokenLogProbs(
-            tokens=(5, 6, 7),
-            old_logp=np.array([-1.0, -1.0, -1.0]),
-            new_logp=np.array([-0.9, -0.7, -0.65]),
+        s = seq_importance_ratio(
+            np.array([-0.9, -0.7, -0.65]), np.array([-1.0, -1.0, -1.0])
         )
-        assert seq_importance_ratio(lp) == pytest.approx(1.2840254166877414, abs=1e-12)
+        assert s == pytest.approx(1.2840254166877414, abs=1e-12)
 
     def test_identical_logps_give_exactly_one(self):
-        lp = TokenLogProbs((1, 2), np.array([-2.0, -0.5]), np.array([-2.0, -0.5]))
-        assert seq_importance_ratio(lp) == 1.0
+        lp = np.array([-2.0, -0.5])
+        assert seq_importance_ratio(lp, lp.copy()) == 1.0
 
     def test_length_normalization(self):
         # Same total delta spread over more tokens gives the same ratio.
-        short = TokenLogProbs((1,), np.array([-1.0]), np.array([-0.4]))
-        long = TokenLogProbs(
-            (1, 2, 3),
-            np.array([-1.0, -1.0, -1.0]),
-            np.array([-0.8, -0.8, -0.8]),
-        )
-        assert seq_importance_ratio(short) == pytest.approx(np.exp(0.6), abs=1e-12)
-        assert seq_importance_ratio(long) == pytest.approx(np.exp(0.2), abs=1e-12)
+        short = seq_importance_ratio(np.array([-0.4]), np.array([-1.0]))
+        long = seq_importance_ratio(np.full(3, -0.8), np.full(3, -1.0))
+        assert short == pytest.approx(np.exp(0.6), abs=1e-12)
+        assert long == pytest.approx(np.exp(0.2), abs=1e-12)
 
     def test_no_overflow_on_long_sequences(self):
         n = 5000
-        lp = TokenLogProbs(
-            tuple(range(1, n + 1)),
-            old_logp=np.full(n, -200.0),
-            new_logp=np.full(n, -1.0),
-        )
-        assert np.isfinite(seq_importance_ratio(lp))
-
-    def test_requires_new_logp(self):
-        lp = TokenLogProbs((1,), np.array([-1.0]))
-        with pytest.raises(ValueError, match="new_logp"):
-            seq_importance_ratio(lp)
+        assert np.isfinite(seq_importance_ratio(np.full(n, -1.0), np.full(n, -200.0)))
 
 
-class TestTokenLogProbsValidation:
-    def test_rejects_empty_tokens(self):
-        with pytest.raises(ValueError):
-            TokenLogProbs((), np.array([]))
+def _one_member_group(policy, tokens, old_logp):
+    return RolloutGroup(
+        "E0", [GroupMember(tokens, np.asarray(old_logp, dtype=float), 1.0)],
+        advantages=np.array([1.0]), snapshot_version=policy.snapshot_version,
+    )
 
-    def test_rejects_positive_logp(self):
-        with pytest.raises(ValueError):
-            TokenLogProbs((1,), np.array([0.1]))
 
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            TokenLogProbs((1, 2), np.array([-1.0]))
+class TestBoundaryValidation:
+    # Both public entry points share one check of the groups they receive.
+    ENTRY_POINTS = [
+        lambda policy, groups: policy_update_step(policy, groups, OptimConfig()),
+        lambda policy, groups: surrogate_objective(policy, groups, OptimConfig()),
+    ]
+    ENTRY_IDS = ["policy_update_step", "surrogate_objective"]
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS, ids=ENTRY_IDS)
+    def test_rejects_empty_tokens(self, entry):
+        policy, _ = build_fixture(seed=0)
+        with pytest.raises(ValueError, match="empty token"):
+            entry(policy, [_one_member_group(policy, (), [])])
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS, ids=ENTRY_IDS)
+    def test_rejects_positive_logp(self, entry):
+        policy, _ = build_fixture(seed=0)
+        with pytest.raises(ValueError, match="<= 0"):
+            entry(policy, [_one_member_group(policy, (6,), [0.1])])
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS, ids=ENTRY_IDS)
+    def test_rejects_shape_mismatch(self, entry):
+        policy, _ = build_fixture(seed=0)
+        with pytest.raises(ValueError, match="shape"):
+            entry(policy, [_one_member_group(policy, (6, 7), [-1.0])])
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS, ids=ENTRY_IDS)
+    def test_rejects_advantage_count_mismatch(self, entry):
+        policy, groups = build_fixture(seed=0)
+        groups[0].advantages = groups[0].advantages[:-1]
+        with pytest.raises(ValueError, match="advantages length"):
+            entry(policy, groups)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS, ids=ENTRY_IDS)
+    def test_rejects_group_without_members(self, entry):
+        policy, _ = build_fixture(seed=0)
+        grp = RolloutGroup("E0", [], advantages=np.zeros(0))
+        with pytest.raises(ValueError, match="no members"):
+            entry(policy, [grp])
 
 
 class TestClippedTerm:
@@ -161,6 +178,10 @@ class TestOptimConfigValidation:
         {"mini_batch_size": 0},
         {"updates_per_batch": 0},
         {"std_floor": 0.0},
+        {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")},
+        {"std_floor": float("nan")},
+        {"std_floor": float("inf")},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -173,23 +194,33 @@ class TestOptimConfigValidation:
 class TestSurrogateObjective:
     def test_zero_at_unchanged_parameters(self):
         # All ratios 1: the objective is the mean advantage, exactly 0.
-        members = []
+        policy, groups = build_fixture(seed=0)
+        ent = groups[0].prompt_id
         rewards = [1.2, 0.2, 0.2, 0.2]
-        for r in rewards:
-            lp = TokenLogProbs((1, 2), np.array([-1.0, -2.0]), np.array([-1.0, -2.0]))
-            members.append(GroupMember(logps=lp, reward=r))
-        grp = RolloutGroup("p0", members, advantages=group_advantages(rewards))
-        assert surrogate_objective([grp], OptimConfig(group_size=4)) == pytest.approx(0.0, abs=1e-12)
+        members = [
+            GroupMember(m.tokens, policy.token_logps(ent, m.tokens), r)
+            for m, r in zip(groups[0].members, rewards)
+        ]
+        grp = RolloutGroup(ent, members, advantages=group_advantages(rewards))
+        value = surrogate_objective(policy, [grp], OptimConfig(group_size=4))
+        assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_requires_advantages(self):
-        lp = TokenLogProbs((1,), np.array([-1.0]), np.array([-1.0]))
-        grp = RolloutGroup("p0", [GroupMember(lp, 1.0)])
+        policy, groups = build_fixture(seed=0)
+        groups[0].advantages = None
         with pytest.raises(ValueError, match="advantages"):
-            surrogate_objective([grp], OptimConfig())
+            surrogate_objective(policy, groups, OptimConfig())
 
     def test_rejects_empty_groups(self):
+        policy, _ = build_fixture(seed=0)
         with pytest.raises(ValueError):
-            surrogate_objective([], OptimConfig())
+            surrogate_objective(policy, [], OptimConfig())
+
+    def test_stale_snapshot_rejected(self):
+        policy, groups = build_fixture(seed=0)
+        policy.snapshot()
+        with pytest.raises(ValueError, match="stale"):
+            surrogate_objective(policy, groups, OptimConfig())
 
 
 CONFIG = OptimConfig(group_size=4)
@@ -212,19 +243,17 @@ class TestPolicyUpdateStep:
         ent = groups[0].prompt_id
         members = []
         for member, shift in zip(groups[0].members[:2], (+0.01, -0.01)):
-            tokens = member.logps.tokens
-            live = policy.token_logps(ent, tokens)
+            live = policy.token_logps(ent, member.tokens)
             old = live - shift
             assert np.all(old <= 0.0)
-            members.append(GroupMember(TokenLogProbs(tokens, old), reward=0.0))
+            members.append(GroupMember(member.tokens, old, reward=0.0))
         grp = RolloutGroup(
             ent, members,
             advantages=np.array([1.0, -1.0]),
             snapshot_version=policy.snapshot_version,
         )
         for member, adv in zip(grp.members, grp.advantages):
-            member.logps.new_logp = policy.token_logps(ent, member.logps.tokens)
-            s = seq_importance_ratio(member.logps)
+            s = seq_importance_ratio(policy.token_logps(ent, member.tokens), member.old_logp)
             assert (s > 1 + CONFIG.eps_high) if adv > 0 else (s < 1 - CONFIG.eps_low)
         before = policy.logits.copy()
         policy_update_step(policy, [grp], CONFIG)
@@ -237,10 +266,9 @@ class TestPolicyUpdateStep:
         ent = groups[0].prompt_id
         members = []
         for member, shift in zip(groups[0].members[:2], (-0.01, +0.01)):
-            tokens = member.logps.tokens
-            old = policy.token_logps(ent, tokens) - shift
+            old = policy.token_logps(ent, member.tokens) - shift
             assert np.all(old <= 0.0)
-            members.append(GroupMember(TokenLogProbs(tokens, old), reward=0.0))
+            members.append(GroupMember(member.tokens, old, reward=0.0))
         grp = RolloutGroup(
             ent, members,
             advantages=np.array([1.0, -1.0]),
@@ -257,14 +285,11 @@ class TestPolicyUpdateStep:
         ent = groups[0].prompt_id
         pool = [m for g in groups if g.prompt_id == ent for m in g.members]
         first = pool[0]
-        second = next(
-            m for m in pool if m.logps.tokens[0] != first.logps.tokens[0]
-        )
-        members = []
-        for source, reward in ((first, 1.2), (second, 0.2)):
-            tokens = source.logps.tokens
-            live = policy.token_logps(ent, tokens)
-            members.append(GroupMember(TokenLogProbs(tokens, live), reward))
+        second = next(m for m in pool if m.tokens[0] != first.tokens[0])
+        members = [
+            GroupMember(source.tokens, policy.token_logps(ent, source.tokens), reward)
+            for source, reward in ((first, 1.2), (second, 0.2))
+        ]
         grp = RolloutGroup(
             ent, members,
             advantages=group_advantages([m.reward for m in members]),
@@ -275,7 +300,7 @@ class TestPolicyUpdateStep:
         )
         policy_update_step(policy, [grp], config)
         for member, adv in zip(grp.members, grp.advantages):
-            s = seq_importance_ratio(member.logps)
+            s = seq_importance_ratio(policy.token_logps(ent, member.tokens), member.old_logp)
             assert (s > 1 + config.eps_high) if adv > 0 else (s < 1 - config.eps_low)
         before = policy.logits.copy()
         policy_update_step(policy, [grp], config)
@@ -311,14 +336,19 @@ class TestPolicyUpdateStep:
         with pytest.raises(ValueError, match="advantages"):
             policy_update_step(policy, groups, CONFIG)
 
-    def test_returns_post_update_objective(self):
+    def test_moves_only_live_parameters(self):
+        # The update returns nothing and leaves its inputs as they were:
+        # the groups' log-probs and the sampling snapshot stay untouched.
         policy, groups = build_fixture(seed=4)
-        value = policy_update_step(
+        old_logps = [m.old_logp.copy() for g in groups for m in g.members]
+        params_old = policy.params_old.copy()
+        before = policy.logits.copy()
+        result = policy_update_step(
             policy, groups, OptimConfig(group_size=4, learning_rate=2.0)
         )
-        assert np.isfinite(value)
-        # new_logp refreshed under final parameters for every member.
-        for grp in groups:
-            for member in grp.members:
-                expected = policy.token_logps(grp.prompt_id, member.logps.tokens)
-                np.testing.assert_allclose(member.logps.new_logp, expected, atol=1e-12)
+        assert result is None
+        assert np.any(policy.logits != before)
+        np.testing.assert_array_equal(policy.params_old, params_old)
+        for member, old in zip((m for g in groups for m in g.members), old_logps):
+            np.testing.assert_array_equal(member.old_logp, old)
+        assert np.isfinite(surrogate_objective(policy, groups, CONFIG))

@@ -68,6 +68,8 @@ class TestRewardConfigValidation:
         {"length_unit": "words"},
         {"open_marker": ""},
         {"open_marker": "<m>", "close_marker": "<m>end"},
+        {"tau": float("nan")},
+        {"tau": float("inf")},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):

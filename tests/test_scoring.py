@@ -244,6 +244,23 @@ class TestServeStdio:
         assert json.loads(out.getvalue())["reward"] == 1.2
 
 
+def test_deeply_nested_line_gets_one_error_reply():
+    # json.loads raises RecursionError, not JSONDecodeError, on deep nesting;
+    # it must not abort the batch or end the service loop.
+    lines = [b"[" * 100_000, json.dumps(record("ok")).encode()]
+    (expected,), _ = score_lines(lines[1:], CFG)
+    replies, _ = score_lines(lines, CFG)
+    assert len(replies) == 2
+    assert replies[0]["line"] == 1 and "invalid JSON" in replies[0]["error"]
+    assert replies[1] == expected
+    out = io.BytesIO()
+    serve_stdio(CFG, io.BytesIO(b"\n".join(lines) + b"\n"), out)
+    served = [json.loads(line) for line in out.getvalue().splitlines()]
+    assert len(served) == 2
+    assert served[0] == {"id": None, "error": replies[0]["error"]}
+    assert served[1] == expected
+
+
 def roundtrip(address, lines):
     """Send lines over one connection, read one reply per line."""
     with socket.create_connection(address, timeout=10) as sock:

@@ -212,10 +212,10 @@ class TestSampleRollout:
         a = sample_rollout(policy, ent, max_len=12, seed=5)
         b = sample_rollout(policy, ent, max_len=12, seed=5)
         assert a.tokens == b.tokens
-        np.testing.assert_array_equal(a.logps.old_logp, b.logps.old_logp)
+        np.testing.assert_array_equal(a.old_logp, b.old_logp)
         c = sample_rollout(policy, ent, max_len=12, seed=6)
         assert a.tokens != c.tokens or not np.array_equal(
-            a.logps.old_logp, c.logps.old_logp
+            a.old_logp, c.old_logp
         )
 
     def test_old_logp_matches_recomputation_exactly(self):
@@ -223,7 +223,7 @@ class TestSampleRollout:
         ent = LEX.entities[1].entity_id
         ro = sample_rollout(policy, ent, max_len=12, seed=9)
         recomputed = policy.token_logps(ent, ro.tokens, old=True)
-        np.testing.assert_array_equal(ro.logps.old_logp, recomputed)
+        np.testing.assert_array_equal(ro.old_logp, recomputed)
 
     def test_eos_terminates_and_is_included(self):
         policy = small_policy()
