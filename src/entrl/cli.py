@@ -68,7 +68,7 @@ def load_config(path_flag: str | None) -> dict:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise CliError(f"cannot read config {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, int digit limit, deep nesting
         raise CliError(f"config {path!r} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise CliError(f"config {path!r} must be a JSON object")
@@ -142,7 +142,8 @@ def cmd_score(args: argparse.Namespace) -> int:
     replies, breakdowns = score_lines(lines, config)
     out = "\n".join(json.dumps(r, ensure_ascii=False) for r in replies) + "\n"
     try:
-        Path(args.output).write_text(out, encoding="utf-8")
+        # backslashreplace writes a lone surrogate in an id as its JSON escape.
+        Path(args.output).write_text(out, encoding="utf-8", errors="backslashreplace")
     except OSError as exc:
         raise CliError(f"cannot write {args.output!r}: {exc}") from None
     print(json.dumps(summarize(breakdowns).to_dict(), ensure_ascii=False))
@@ -196,13 +197,13 @@ def cmd_passk(args: argparse.Namespace) -> int:
     for lineno, raw in enumerate(lines, start=1):
         try:
             obj = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # also bad UTF-8, int digit limit
             raise CliError(f"line {lineno}: {exc}") from None
         if not isinstance(obj, dict) or "n" not in obj:
             raise CliError(f"line {lineno}: expected an object with n and c")
         c = obj.get("c", obj.get("correct_count"))
         n = obj["n"]
-        if not isinstance(n, int) or not isinstance(c, int):
+        if any(not isinstance(v, int) or isinstance(v, bool) for v in (n, c)):
             raise CliError(f"line {lineno}: n and c must be integers")
         if n_seen is None:
             n_seen = n
@@ -211,7 +212,7 @@ def cmd_passk(args: argparse.Namespace) -> int:
         counts.append(c)
     try:
         curve = pass_at_k_curve(PassAtKInput(n=n_seen, counts=tuple(counts), ks=ks))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: n beyond float range
         raise CliError(str(exc)) from None
 
     rows = ["k,estimate"] + [f"{k},{est}" for k, est in zip(curve.ks, curve.estimates)]

@@ -58,6 +58,10 @@ class OptimConfig:
     std_floor: float = 1e-6
 
     def __post_init__(self) -> None:
+        for name in ("group_size", "mini_batch_size", "updates_per_batch"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.group_size < 2:
             raise ValueError(f"group_size must be >= 2, got {self.group_size}")
         for name in ("eps_low", "eps_high"):

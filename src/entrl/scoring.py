@@ -29,6 +29,10 @@ __all__ = [
     "serve_stdio",
 ]
 
+# Largest accepted ref_lengths entry; far above any real reference, and it
+# keeps the mean reference length a finite float.
+MAX_REF_LENGTH = 10**9
+
 
 class RecordError(ValueError):
     """A single input record is unusable; processing continues."""
@@ -46,7 +50,7 @@ def decode_line(raw: bytes | str) -> dict:
         raise RecordError("empty line")
     try:
         obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past Python's digit limit
         raise RecordError(f"invalid JSON: {exc}") from None
     except RecursionError:
         raise RecordError("invalid JSON: nested too deeply") from None
@@ -64,8 +68,9 @@ def _ref_lengths_from(record: dict, config: RewardConfig) -> list[int]:
         lengths = record["ref_lengths"]
         if not isinstance(lengths, list) or not lengths:
             raise RecordError("ref_lengths must be a non-empty list")
-        if not all(isinstance(n, int) and not isinstance(n, bool) and n > 0 for n in lengths):
-            raise RecordError("ref_lengths must be positive integers")
+        if not all(isinstance(n, int) and not isinstance(n, bool) and 0 < n <= MAX_REF_LENGTH
+                   for n in lengths):
+            raise RecordError(f"ref_lengths must be integers in [1, {MAX_REF_LENGTH}]")
         return lengths
     refs = record["refs"]
     if not isinstance(refs, list) or not refs or not all(isinstance(r, str) for r in refs):
@@ -165,7 +170,9 @@ def _service_reply(raw: bytes | str, config: RewardConfig) -> dict:
 
 
 def _encode_reply(reply: dict) -> bytes:
-    return json.dumps(reply, ensure_ascii=False).encode("utf-8") + b"\n"
+    # An id may hold a lone surrogate (from a "\ud800" escape); it goes back
+    # out as the same JSON escape instead of failing to encode.
+    return json.dumps(reply, ensure_ascii=False).encode("utf-8", "backslashreplace") + b"\n"
 
 
 class _LineHandler(socketserver.StreamRequestHandler):

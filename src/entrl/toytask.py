@@ -9,7 +9,10 @@ knowledge, format compliance, and length behavior are all directly
 inspectable in the logits.
 
 Token sequences render to text (``t07 t11`` style) and are scored by the
-same reward pipeline used for real text, with token-unit lengths.
+same reward pipeline used for real text, with token-unit lengths.  There is
+one sampling path (temperature strictly positive, drawn from the policy's
+frozen snapshot) and one scored-rollout loop, shared by ``train`` and
+``measure_pass_at_k``: sample, render, score.
 """
 
 from __future__ import annotations
@@ -300,12 +303,13 @@ def _log_softmax(rows: np.ndarray) -> np.ndarray:
 
 
 class ToyPolicy:
-    """Entity-conditioned bigram softmax policy.
+    """Entity-conditioned bigram softmax policy at a finite, positive temperature.
 
     ``logits[entity, prev_token, next_token]`` are the live parameters;
-    ``params_old`` is the frozen snapshot that sampling and importance
-    ratios are measured against.  ``snapshot()`` refreshes it and bumps
-    ``snapshot_version`` so stale rollouts can be detected.
+    ``params_old`` is the frozen snapshot that rollouts are sampled from.
+    ``snapshot()`` refreshes it and bumps ``snapshot_version`` so stale
+    rollouts can be detected.  Right after a snapshot, ``token_logps``
+    returns the log-probs that sampling records, bit for bit.
     """
 
     def __init__(self, lexicon: SyntheticLexicon, logits: np.ndarray, temperature: float = 1.0):
@@ -313,8 +317,8 @@ class ToyPolicy:
         expected = (len(lexicon.entities), lexicon.vocab_size, lexicon.vocab_size)
         if logits.shape != expected:
             raise ValueError(f"logits shape {logits.shape} != {expected}")
-        if temperature < 0.0:
-            raise ValueError(f"temperature must be >= 0, got {temperature}")
+        if not 0.0 < temperature < np.inf:
+            raise ValueError(f"temperature must be finite and > 0, got {temperature}")
         self.lexicon = lexicon
         self.logits = logits
         self.temperature = float(temperature)
@@ -343,8 +347,6 @@ class ToyPolicy:
         # (log-prob, cumulative-prob, entropy) tables under the snapshot;
         # rebuilt lazily once per snapshot.
         if self._old_tables_cache is None:
-            if self.temperature == 0.0:
-                raise ValueError("no sampling tables at temperature 0 (greedy)")
             logp = _log_softmax(self.params_old / self.temperature)
             probs = np.exp(logp)
             cum = np.cumsum(probs, axis=-1)
@@ -352,22 +354,12 @@ class ToyPolicy:
             self._old_tables_cache = (logp, cum, ent)
         return self._old_tables_cache
 
-    def token_logps(self, entity_id: str, tokens: tuple[int, ...], old: bool = False) -> np.ndarray:
-        """Per-token log-probabilities of ``tokens`` for this entity's prompt.
-
-        ``old=True`` reads the snapshot tables (the exact values sampling
-        recorded); otherwise the live parameters are used.
-        """
+    def token_logps(self, entity_id: str, tokens: tuple[int, ...]) -> np.ndarray:
+        """Per-token log-probabilities of ``tokens`` for this entity's prompt
+        under the live parameters."""
         e = self.entity_index(entity_id)
         toks = np.asarray(tokens, dtype=int)
         prevs = np.concatenate(([BOS], toks[:-1]))
-        if self.temperature == 0.0:
-            table = self.params_old if old else self.logits
-            best = table[e, prevs].argmax(axis=-1)
-            return np.where(toks == best, 0.0, -np.inf)
-        if old:
-            logp_table, _, _ = self._old_tables()
-            return logp_table[e, prevs, toks]
         rows = _log_softmax(self.logits[e, prevs] / self.temperature)
         return rows[np.arange(len(toks)), toks]
 
@@ -378,8 +370,6 @@ class ToyPolicy:
         self, entity_id: str, tokens: tuple[int, ...], coeff: float, grad: np.ndarray
     ) -> None:
         """Add coeff * grad of sum_t log pi(tokens_t | prev_t) into ``grad``."""
-        if self.temperature <= 0.0:
-            raise ValueError("gradients require positive temperature")
         e = self.entity_index(entity_id)
         toks = np.asarray(tokens, dtype=int)
         prevs = np.concatenate(([BOS], toks[:-1]))
@@ -413,34 +403,25 @@ def sample_rollout(policy: ToyPolicy, entity_id: str, max_len: int, seed) -> Rol
     Generation starts after BOS, ends at EOS or after ``max_len`` tokens.
     The emitted EOS is part of the sequence and carries a log-probability;
     a sequence that never emits EOS is marked truncated.  ``seed`` may be
-    an int, a SeedSequence, or a Generator.  At temperature 0 the rollout
-    is the argmax trajectory and the seed is irrelevant.
+    an int, a SeedSequence, or a Generator; each token takes one uniform
+    draw from it.  ``old_logp`` and ``entropies`` are read from the
+    snapshot's tables, built once per snapshot.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     e = policy.entity_index(entity_id)
-    greedy = policy.temperature == 0.0
-    if greedy:
-        argmax_rows = policy.params_old[e].argmax(axis=-1)
-    else:
-        logp_table, cum_table, ent_table = policy._old_tables()
-        rng = np.random.default_rng(seed)
+    logp_table, cum_table, ent_table = policy._old_tables()
+    rng = np.random.default_rng(seed)
 
     tokens: list[int] = []
     logps: list[float] = []
     ents: list[float] = []
     prev = BOS
     for _ in range(max_len):
-        if greedy:
-            tok = int(argmax_rows[prev])
-            logps.append(0.0)
-            ents.append(0.0)
-        else:
-            row = cum_table[e, prev]
-            tok = int(np.searchsorted(row, rng.random(), side="right"))
-            tok = min(tok, policy.lexicon.vocab_size - 1)
-            logps.append(float(logp_table[e, prev, tok]))
-            ents.append(float(ent_table[e, prev]))
+        tok = int(np.searchsorted(cum_table[e, prev], rng.random(), side="right"))
+        tok = min(tok, policy.lexicon.vocab_size - 1)
+        logps.append(float(logp_table[e, prev, tok]))
+        ents.append(float(ent_table[e, prev]))
         tokens.append(tok)
         prev = tok
         if tok == EOS:
@@ -450,20 +431,17 @@ def sample_rollout(policy: ToyPolicy, entity_id: str, max_len: int, seed) -> Rol
                    truncated=tokens[-1] != EOS, entropies=np.asarray(ents))
 
 
-def render_response(
-    lexicon: SyntheticLexicon, tokens: tuple[int, ...], config: RewardConfig | None = None
-) -> str:
-    """Render a token sequence to the text form the reward pipeline scores."""
-    open_marker = config.open_marker if config else "<think>"
-    close_marker = config.close_marker if config else "</think>"
+def render_response(lexicon: SyntheticLexicon, tokens: tuple[int, ...], config: RewardConfig) -> str:
+    """Render a token sequence to the text form the reward pipeline scores,
+    with ``config``'s think markers."""
     pieces = []
     for t in tokens:
         if t in (BOS, EOS):
             continue
         if t == THINK_OPEN:
-            pieces.append(open_marker)
+            pieces.append(config.open_marker)
         elif t == THINK_CLOSE:
-            pieces.append(close_marker)
+            pieces.append(config.close_marker)
         elif t == SRC_MARK:
             pieces.append("<src>")
         else:
@@ -471,11 +449,25 @@ def render_response(
     return " ".join(pieces)
 
 
-def toy_reward_config(**overrides) -> RewardConfig:
+def toy_reward_config() -> RewardConfig:
     """Reward config for the toy task: token-unit lengths, default gates."""
-    params = {"length_unit": "tokens"}
-    params.update(overrides)
-    return RewardConfig(**params)
+    return RewardConfig(length_unit="tokens")
+
+
+def _scored_rollouts(
+    policy: ToyPolicy, entity_id: str, key: tuple, n: int, max_len: int,
+    gold: GoldEntitySet, refs: list[int], config: RewardConfig, ablation: str = "full",
+):
+    """Sample ``n`` rollouts for one prompt and score each under ``ablation``.
+
+    Rollout ``i`` draws from child ``i`` of ``SeedSequence(key)``.  Yields
+    ``(rollout, breakdown, segments)`` in sampling order.
+    """
+    for child in np.random.SeedSequence(key).spawn(n):
+        ro = sample_rollout(policy, entity_id, max_len, child)
+        raw = render_response(policy.lexicon, ro.tokens, config)
+        breakdown, seg = score_response(raw, gold, refs, config, ablation)
+        yield ro, breakdown, seg
 
 
 def measure_pass_at_k(
@@ -495,18 +487,12 @@ def measure_pass_at_k(
     """
     if config is None:
         config = toy_reward_config()
+    lexicon = policy.lexicon
     counts = []
     for e_idx, ent_id in enumerate(entity_ids):
-        gold = policy.lexicon.gold(ent_id)
-        refs = policy.lexicon.ref_lengths(ent_id)
-        child_seeds = np.random.SeedSequence((seed, _STREAM_EVAL, e_idx)).spawn(n)
-        correct = 0
-        for child in child_seeds:
-            ro = sample_rollout(policy, ent_id, max_len, child)
-            raw = render_response(policy.lexicon, ro.tokens, config)
-            breakdown, _ = score_response(raw, gold, refs, config)
-            correct += breakdown.match
-        counts.append(correct)
+        scored = _scored_rollouts(policy, ent_id, (seed, _STREAM_EVAL, e_idx), n, max_len,
+                                  lexicon.gold(ent_id), lexicon.ref_lengths(ent_id), config)
+        counts.append(sum(breakdown.match for _, breakdown, _ in scored))
     curve = pass_at_k_curve(PassAtKInput(n=n, counts=tuple(counts), ks=tuple(ks)))
     return curve, tuple(counts)
 
@@ -588,8 +574,6 @@ def init_activation_prior(
     """
     if not 0.0 < target_pass1_max < 1.0:
         raise ValueError(f"target_pass1_max must be in (0, 1), got {target_pass1_max}")
-    if policy_cfg.temperature <= 0.0:
-        raise ValueError("activation prior needs a positive sampling temperature")
     if structure is None:
         structure = PriorStructure()
 
@@ -670,6 +654,30 @@ def _alias_occurrences(trans: str, gold: GoldEntitySet) -> int:
     return sum(normed.count(a) for a in gold.normalized_aliases)
 
 
+def _metrics_row(step: int, scored: list) -> TrainMetricsRow:
+    """Step metrics from ``(entity_id, rollout, breakdown, segments)`` tuples.
+
+    The sums run in sampling order with plain float addition, so each
+    column is a fixed function of the rollouts, bit for bit.
+    """
+    reward_sum = entropy_sum = 0.0
+    trans_len_sum = match_sum = token_count = 0
+    for _, ro, breakdown, seg in scored:
+        reward_sum += breakdown.reward
+        trans_len_sum += len(seg.trans.split())
+        match_sum += breakdown.match
+        entropy_sum += float(ro.entropies.sum())
+        token_count += len(ro.tokens)
+    n = len(scored)
+    return TrainMetricsRow(
+        step=step,
+        mean_reward=reward_sum / n,
+        mean_trans_length=trans_len_sum / n,
+        mean_entropy=entropy_sum / max(token_count, 1),
+        pass1_eval=match_sum / n,
+    )
+
+
 def train(
     lexicon: SyntheticLexicon,
     policy: ToyPolicy,
@@ -688,6 +696,8 @@ def train(
     rewards within each group, and applies the mini-batch update passes.
     Metrics row ``s`` describes the rollouts sampled at step ``s`` before
     that step's update; ``steps=0`` emits a single measurement-only row.
+    ``final_rollouts`` scores the last step's rollouts, built once after
+    the loop.
 
     Every random choice derives from ``seed`` through tagged substreams,
     so identical calls produce identical metrics and parameters.
@@ -705,8 +715,6 @@ def train(
     train_ids = np.asarray(lexicon.train_ids)
 
     metrics: list[TrainMetricsRow] = []
-    final_rollouts: list[RolloutScore] = []
-
     measure_only = steps == 0
     for step in range(max(steps, 1)):
         policy.snapshot()
@@ -716,68 +724,42 @@ def train(
         batch = prompt_rng.choice(train_ids, size=batch_size, replace=True)
 
         groups: list[RolloutGroup] = []
-        scores: list[RolloutScore] = []
-        reward_sum = 0.0
-        trans_len_sum = 0
-        match_sum = 0
-        entropy_sum = 0.0
-        token_count = 0
+        scored: list[tuple] = []
         for p_idx, ent_id in enumerate(batch):
             ent_id = str(ent_id)
-            member_seeds = np.random.SeedSequence(
-                (seed, _STREAM_ROLLOUT, step, p_idx)
-            ).spawn(optim_cfg.group_size)
             members: list[GroupMember] = []
-            rewards = np.empty(optim_cfg.group_size)
-            for m_idx, child in enumerate(member_seeds):
-                ro = sample_rollout(policy, ent_id, max_len, child)
-                raw = render_response(lexicon, ro.tokens, reward_cfg)
-                breakdown, seg = score_response(
-                    raw, golds[ent_id], refs[ent_id], reward_cfg, ablation
-                )
+            for ro, breakdown, seg in _scored_rollouts(
+                policy, ent_id, (seed, _STREAM_ROLLOUT, step, p_idx), optim_cfg.group_size,
+                max_len, golds[ent_id], refs[ent_id], reward_cfg, ablation,
+            ):
                 members.append(GroupMember(ro.tokens, ro.old_logp, breakdown.reward))
-                rewards[m_idx] = breakdown.reward
-                trans_len = len(seg.trans.split())
-                reward_sum += breakdown.reward
-                trans_len_sum += trans_len
-                match_sum += breakdown.match
-                entropy_sum += float(ro.entropies.sum())
-                token_count += len(ro.tokens)
-                scores.append(
-                    RolloutScore(
-                        entity_id=ent_id,
-                        fmt_gate=breakdown.fmt_gate,
-                        len_gate=breakdown.len_gate,
-                        match=breakdown.match,
-                        reward=breakdown.reward,
-                        trans_len=trans_len,
-                        alias_occurrences=_alias_occurrences(seg.trans, golds[ent_id]),
-                        truncated=ro.truncated,
-                    )
-                )
+                scored.append((ent_id, ro, breakdown, seg))
+            rewards = np.array([m.reward for m in members])
             advantages = group_advantages(rewards, optim_cfg.std_floor)
             groups.append(
                 RolloutGroup(ent_id, members, advantages, policy.snapshot_version)
             )
 
-        n_rollouts = batch_size * optim_cfg.group_size
-        metrics.append(
-            TrainMetricsRow(
-                step=step,
-                mean_reward=reward_sum / n_rollouts,
-                mean_trans_length=trans_len_sum / n_rollouts,
-                mean_entropy=entropy_sum / max(token_count, 1),
-                pass1_eval=match_sum / n_rollouts,
-            )
-        )
-        if step == max(steps, 1) - 1:
-            final_rollouts = scores
+        metrics.append(_metrics_row(step, scored))
         if not measure_only:
             shuffle_rng = np.random.default_rng(
                 np.random.SeedSequence((seed, _STREAM_SHUFFLE, step))
             )
             policy_update_step(policy, groups, optim_cfg, rng=shuffle_rng)
 
+    final_rollouts = [
+        RolloutScore(
+            entity_id=ent_id,
+            fmt_gate=breakdown.fmt_gate,
+            len_gate=breakdown.len_gate,
+            match=breakdown.match,
+            reward=breakdown.reward,
+            trans_len=len(seg.trans.split()),
+            alias_occurrences=_alias_occurrences(seg.trans, golds[ent_id]),
+            truncated=ro.truncated,
+        )
+        for ent_id, ro, breakdown, seg in scored
+    ]
     return TrainResult(policy=policy, metrics=metrics, final_rollouts=final_rollouts)
 
 

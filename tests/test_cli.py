@@ -78,6 +78,15 @@ class TestConfigHandling:
         assert code == 1
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_config_number_past_digit_limit(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"reward": {"tau": ' + "1" * 5000 + "}}")
+        inp = tmp_path / "in.jsonl"
+        write_jsonl(inp, [score_record_obj("a", GOOD)])
+        code = main(["score", "--input", str(inp), "--config", str(cfg), "--output", str(tmp_path / "o")])
+        assert code == 1
+        assert "not valid JSON" in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path, capsys):
         inp = tmp_path / "in.jsonl"
         write_jsonl(inp, [score_record_obj("a", GOOD)])
@@ -144,6 +153,13 @@ class TestScoreCommand:
         summary = json.loads(capsys.readouterr().out)
         assert summary["n_records"] == 2
         assert summary["gate_failure_counts"] == {"fmt": 1, "len": 0}
+
+    def test_lone_surrogate_id_written_as_escape(self, tmp_path, capsys):
+        inp = tmp_path / "in.jsonl"
+        inp.write_text(json.dumps(score_record_obj("\ud800", GOOD)) + "\n")  # ASCII, with the escape
+        out = tmp_path / "out.jsonl"
+        assert main(["score", "--input", str(inp), "--output", str(out)]) == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["id"] == "\ud800"
 
     def test_empty_input_is_fatal(self, tmp_path, capsys):
         inp = tmp_path / "in.jsonl"
@@ -234,7 +250,17 @@ class TestPasskCommand:
         assert code == 1
         assert "line 2:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ['{"c": 1}', '{"n": 6}', '{"n": 6, "c": 1.5}', '{"n": "6", "c": 1}', "[1]"])
+    def test_n_beyond_float_range_is_fatal(self, tmp_path, capsys):
+        inp = tmp_path / "counts.jsonl"
+        inp.write_text('{"n": ' + str(10**400) + ', "c": 1}\n')
+        code = main(["passk", "--input", str(inp), "--ks", "1", "--output", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("line", ['{"c": 1}', '{"n": 6}', '{"n": 6, "c": 1.5}', '{"n": "6", "c": 1}', "[1]",
+                                      '{"n": true, "c": 1}', '{"n": 6, "c": true}',
+                                      pytest.param('{"n": ' + "1" * 5000 + ', "c": 1}', id="int-past-digit-limit"),
+                                      pytest.param("[" * 100_000, id="nested-too-deeply")])
     def test_bad_records_are_fatal(self, tmp_path, capsys, line):
         inp = tmp_path / "counts.jsonl"
         inp.write_text(line + "\n")
@@ -330,6 +356,25 @@ class TestTrainCommand:
         code = main(["train", "--config", str(cfg), "--lexicon", "x", "--out", str(tmp_path / "o")])
         assert code == 1
         assert "bad train config" in capsys.readouterr().err
+
+    def test_non_integer_group_size_rejected_before_prior(self, tmp_path, capsys, monkeypatch):
+        task = tmp_path / "task"
+        assert main(["gen", "--seed", "42", "--out", str(task)]) == 0
+        monkeypatch.setattr("entrl.cli.init_activation_prior", lambda *a, **k: pytest.fail("prior built"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"optim": {"G": 2.5}}')
+        code = main(["train", "--config", str(cfg), "--lexicon", str(task / "lexicon.json"), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "bad optim config" in capsys.readouterr().err
+
+    def test_non_finite_temperature_reported(self, tmp_path, capsys):
+        task = tmp_path / "task"
+        assert main(["gen", "--seed", "42", "--out", str(task)]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"train": {"temperature": NaN}}')
+        code = main(["train", "--config", str(cfg), "--lexicon", str(task / "lexicon.json"), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "temperature must be finite and > 0" in capsys.readouterr().err
 
     def test_end_to_end_artifacts(self, tmp_path, capsys):
         task = tmp_path / "task"

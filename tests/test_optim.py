@@ -182,6 +182,9 @@ class TestOptimConfigValidation:
         {"learning_rate": float("inf")},
         {"std_floor": float("nan")},
         {"std_floor": float("inf")},
+        {"group_size": 2.5},
+        {"mini_batch_size": 1.5},
+        {"updates_per_batch": True},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):

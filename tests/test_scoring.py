@@ -6,6 +6,8 @@ import socket
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entrl import (
     RecordError,
@@ -18,6 +20,7 @@ from entrl import (
     serve_stdio,
     summarize,
 )
+from entrl.scoring import MAX_REF_LENGTH
 
 CFG = RewardConfig()
 
@@ -93,12 +96,16 @@ class TestScoreRecord:
         with pytest.raises(RecordError, match="exactly one of"):
             score_record(rec, CFG)
 
-    @pytest.mark.parametrize("lengths", [[], [0], [-1], [1.5], [True], "6"])
+    @pytest.mark.parametrize("lengths", [[], [0], [-1], [1.5], [True], "6", [MAX_REF_LENGTH + 1]])
     def test_bad_ref_lengths(self, lengths):
         rec = record()
         rec["ref_lengths"] = lengths
         with pytest.raises(RecordError):
             score_record(rec, CFG)
+
+    def test_ref_length_bound_is_inclusive(self):
+        reply, _ = score_record(record(ref_lengths=(MAX_REF_LENGTH,)), CFG)
+        assert reply["len"] == 1
 
     @pytest.mark.parametrize("refs", [[], [42], ["munich", 3], "munich"])
     def test_bad_refs(self, refs):
@@ -243,22 +250,70 @@ class TestServeStdio:
         serve_stdio(CFG, io.BytesIO(json.dumps(rec, ensure_ascii=False).encode() + b"\n"), out)
         assert json.loads(out.getvalue())["reward"] == 1.2
 
+    def test_lone_surrogate_id_echoed_as_escape(self):
+        # "\ud800" is valid JSON but not encodable as UTF-8; the reply
+        # carries it back as the same escape.
+        line = json.dumps(record("\ud800")).encode()
+        out = io.BytesIO()
+        serve_stdio(CFG, io.BytesIO(line + b"\n"), out)
+        assert b'"id": "\\ud800"' in out.getvalue()
+        assert json.loads(out.getvalue())["id"] == "\ud800"
+
 
 def test_deeply_nested_line_gets_one_error_reply():
-    # json.loads raises RecursionError, not JSONDecodeError, on deep nesting;
-    # it must not abort the batch or end the service loop.
-    lines = [b"[" * 100_000, json.dumps(record("ok")).encode()]
-    (expected,), _ = score_lines(lines[1:], CFG)
+    # Lines that raised past the error path: json.loads raises RecursionError
+    # on deep nesting and ValueError on an int past Python's digit limit, and
+    # a huge ref_lengths overflowed the mean reference length.  None may
+    # abort the batch or end the service loop.
+    ok = json.dumps(record("ok")).encode()
+    (expected,), _ = score_lines([ok], CFG)
+    bad_lines = [
+        (b"[" * 100_000, None, "invalid JSON"),
+        (b'{"id": "a", "x": ' + b"1" * 5000 + b"}", None, "invalid JSON"),
+        (json.dumps(record("big", ref_lengths=(10**400,))).encode(), "big", "ref_lengths"),
+    ]
+    for bad, rid, error in bad_lines:
+        lines = [bad, ok]
+        replies, _ = score_lines(lines, CFG)
+        assert len(replies) == 2
+        assert replies[0]["line"] == 1 and error in replies[0]["error"]
+        assert replies[1] == expected
+        out = io.BytesIO()
+        serve_stdio(CFG, io.BytesIO(b"\n".join(lines) + b"\n"), out)
+        served = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert served == [{"id": rid, "error": replies[0]["error"]}, expected]
+
+
+# Text with any code point, lone surrogates included (json.dumps escapes them),
+# and a few strings that get records deep into the scoring path.
+_text = st.text(st.characters(exclude_categories=()), max_size=12) | st.sampled_from(
+    ("", "Munich", "<think> plan </think> munich", "\ud800"))
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(10**400), 10**400) | st.floats() | _text,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_text, inner, max_size=4),
+    max_leaves=12,
+)
+_json_lines = st.fixed_dictionaries({}, optional={
+    "id": _json_values,
+    "response": _json_values,
+    "gold_aliases": st.lists(_text, max_size=3) | _json_values,
+    "ref_lengths": st.lists(st.integers(-(10**400), 10**400), max_size=3) | _json_values,
+    "refs": st.lists(_text, max_size=3) | _json_values,
+}).map(lambda obj: json.dumps(obj).encode())
+_byte_lines = st.binary(max_size=48).map(lambda raw: raw.replace(b"\n", b""))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_byte_lines | _json_lines, max_size=8))
+def test_every_line_gets_exactly_one_reply(lines):
     replies, _ = score_lines(lines, CFG)
-    assert len(replies) == 2
-    assert replies[0]["line"] == 1 and "invalid JSON" in replies[0]["error"]
-    assert replies[1] == expected
+    assert len(replies) == len(lines)
     out = io.BytesIO()
-    serve_stdio(CFG, io.BytesIO(b"\n".join(lines) + b"\n"), out)
-    served = [json.loads(line) for line in out.getvalue().splitlines()]
-    assert len(served) == 2
-    assert served[0] == {"id": None, "error": replies[0]["error"]}
-    assert served[1] == expected
+    serve_stdio(CFG, io.BytesIO(b"".join(line + b"\n" for line in lines)), out)
+    served = out.getvalue().split(b"\n")
+    assert served.pop() == b""
+    assert len(served) == len(lines)
+    assert all(isinstance(json.loads(reply), dict) for reply in served)
 
 
 def roundtrip(address, lines):

@@ -13,6 +13,7 @@ from entrl import (
     load_policy,
     measure_pass_at_k,
     metrics_to_csv,
+    RewardConfig,
     render_response,
     sample_rollout,
     save_policy,
@@ -32,10 +33,10 @@ from entrl.toytask import (
 LEX = gen_lexicon(seed=7, n_entities=6, vocab_size=32)
 
 
-def small_policy(seed=0, temperature=1.0):
+def small_policy(seed=0):
     rng = np.random.default_rng(seed)
     logits = rng.normal(0.0, 1.0, size=(len(LEX.entities), 32, 32))
-    return ToyPolicy(LEX, logits, temperature=temperature)
+    return ToyPolicy(LEX, logits)
 
 
 class TestGenLexicon:
@@ -166,16 +167,22 @@ class TestToyPolicy:
         assert policy.params_old[0, 0, 6] != policy.logits[0, 0, 6]
 
     def test_token_logps_old_vs_new(self):
+        # token_logps reads the live parameters: right after snapshot() they
+        # are the snapshot, later they move on their own.
         policy = small_policy()
         ent = LEX.entities[0].entity_id
         tokens = (6, 7, EOS)
         policy.snapshot()
-        old = policy.token_logps(ent, tokens, old=True)
+        old = policy.token_logps(ent, tokens)
+        before = sample_rollout(policy, ent, max_len=12, seed=2)
         policy.logits += 0.5  # uniform shift keeps softmax identical
         np.testing.assert_allclose(policy.token_logps(ent, tokens), old, atol=1e-12)
         policy.logits[policy.entity_index(ent), BOS, 6] += 2.0
         assert policy.token_logps(ent, tokens)[0] != pytest.approx(float(old[0]))
-        np.testing.assert_array_equal(policy.token_logps(ent, tokens, old=True), old)
+        # Sampling still reads the snapshot.
+        after = sample_rollout(policy, ent, max_len=12, seed=2)
+        assert after.tokens == before.tokens
+        np.testing.assert_array_equal(after.old_logp, before.old_logp)
 
     def test_token_logps_sum_to_one_over_vocab(self):
         policy = small_policy()
@@ -188,16 +195,10 @@ class TestToyPolicy:
     def test_n_params(self):
         assert small_policy().n_params == 6 * 32 * 32
 
-    def test_temperature_validation(self):
-        with pytest.raises(ValueError):
-            ToyPolicy(LEX, np.zeros((6, 32, 32)), temperature=-1.0)
-
-    def test_gradient_requires_positive_temperature(self):
-        policy = ToyPolicy(LEX, np.zeros((6, 32, 32)), temperature=0.0)
-        with pytest.raises(ValueError):
-            policy.accumulate_score_grad(
-                LEX.entities[0].entity_id, (6,), 1.0, policy.new_grad()
-            )
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan"), float("inf")])
+    def test_temperature_validation(self, temperature):
+        with pytest.raises(ValueError, match="temperature"):
+            ToyPolicy(LEX, np.zeros((6, 32, 32)), temperature=temperature)
 
     def test_apply_gradient_shape_check(self):
         policy = small_policy()
@@ -219,11 +220,14 @@ class TestSampleRollout:
         )
 
     def test_old_logp_matches_recomputation_exactly(self):
+        # Right after snapshot() the live log-probs equal the recorded ones.
         policy = small_policy()
-        ent = LEX.entities[1].entity_id
-        ro = sample_rollout(policy, ent, max_len=12, seed=9)
-        recomputed = policy.token_logps(ent, ro.tokens, old=True)
-        np.testing.assert_array_equal(ro.old_logp, recomputed)
+        policy.snapshot()
+        for e_idx in range(len(LEX.entities)):
+            ent = LEX.entities[e_idx].entity_id
+            for seed in range(20):
+                ro = sample_rollout(policy, ent, max_len=12, seed=seed)
+                np.testing.assert_array_equal(ro.old_logp, policy.token_logps(ent, ro.tokens))
 
     def test_eos_terminates_and_is_included(self):
         policy = small_policy()
@@ -244,18 +248,6 @@ class TestSampleRollout:
         assert len(ro.tokens) == 5
         assert EOS not in ro.tokens
 
-    def test_greedy_temperature_zero(self):
-        policy = small_policy(temperature=0.0)
-        ent = LEX.entities[0].entity_id
-        a = sample_rollout(policy, ent, max_len=8, seed=1)
-        b = sample_rollout(policy, ent, max_len=8, seed=999)
-        assert a.tokens == b.tokens
-        e = policy.entity_index(ent)
-        prev = BOS
-        for tok in a.tokens:
-            assert tok == int(policy.params_old[e, prev].argmax())
-            prev = tok
-
     def test_entropies_per_token(self):
         policy = small_policy()
         ro = sample_rollout(policy, LEX.entities[0].entity_id, max_len=12, seed=3)
@@ -270,11 +262,11 @@ class TestSampleRollout:
 class TestRenderResponse:
     def test_markers_and_spacing(self):
         tokens = (BOS, THINK_OPEN, FILLER, THINK_CLOSE, 6, 7, EOS)
-        text = render_response(LEX, tokens)
+        text = render_response(LEX, tokens, toy_reward_config())
         assert text == "<think> t05 </think> t06 t07"
 
     def test_custom_markers(self):
-        cfg = toy_reward_config(open_marker="[[", close_marker="]]")
+        cfg = RewardConfig(length_unit="tokens", open_marker="[[", close_marker="]]")
         tokens = (THINK_OPEN, THINK_CLOSE, 8, EOS)
         assert render_response(LEX, tokens, cfg) == "[[ ]] t08"
 
@@ -283,7 +275,8 @@ class TestRenderResponse:
         from entrl import parse_segments
 
         tokens = (BOS, THINK_OPEN, FILLER, THINK_CLOSE, 6, 7, EOS)
-        seg = parse_segments(render_response(LEX, tokens), toy_reward_config())
+        cfg = toy_reward_config()
+        seg = parse_segments(render_response(LEX, tokens, cfg), cfg)
         assert seg.format_valid == 1
         assert seg.trans == "t06 t07"
 
@@ -291,10 +284,6 @@ class TestRenderResponse:
 class TestToyRewardConfig:
     def test_token_unit_default(self):
         assert toy_reward_config().length_unit == "tokens"
-
-    def test_overrides(self):
-        cfg = toy_reward_config(tau=3.0)
-        assert cfg.tau == 3.0 and cfg.length_unit == "tokens"
 
 
 class TestMeasurePassAtK:
@@ -339,10 +328,11 @@ class TestInitActivationPrior:
     def test_validation(self):
         with pytest.raises(ValueError):
             init_activation_prior(LEX, PolicyConfig(), target_pass1_max=0.0, seed=0)
-        with pytest.raises(ValueError):
-            init_activation_prior(
-                LEX, PolicyConfig(temperature=0.0), target_pass1_max=0.1, seed=0
-            )
+        for temperature in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="temperature"):
+                init_activation_prior(
+                    LEX, PolicyConfig(temperature=temperature), target_pass1_max=0.1, seed=0
+                )
 
 
 SMALL_OPTIM = OptimConfig(group_size=4, mini_batch_size=2, updates_per_batch=2)
