@@ -9,6 +9,7 @@ file to use when ``--config`` is absent.  Unknown config keys are errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -17,7 +18,7 @@ from pathlib import Path
 from .evalkit import PassAtKInput, pass_at_k_curve
 from .optim import OptimConfig
 from .reward import ABLATIONS, RewardConfig
-from .scoring import RewardService, score_lines, serve_stdio, summarize
+from .scoring import RewardService, _encode_reply, score_lines, serve_stdio, summarize
 from .toytask import (
     PolicyConfig,
     SyntheticLexicon,
@@ -36,17 +37,7 @@ CONFIG_ENV_VAR = "ENTRL_CONFIG"
 
 _REWARD_KEYS = {"alpha", "tau", "length_unit", "markers"}
 _OPTIM_ALIASES = {"G": "group_size", "mini_batch": "mini_batch_size"}
-_OPTIM_KEYS = {
-    "G",
-    "group_size",
-    "eps_low",
-    "eps_high",
-    "learning_rate",
-    "mini_batch",
-    "mini_batch_size",
-    "updates_per_batch",
-    "std_floor",
-}
+_OPTIM_KEYS = {f.name for f in dataclasses.fields(OptimConfig)} | set(_OPTIM_ALIASES)
 _TRAIN_KEYS = {"steps", "max_len", "temperature", "seed", "lexicon", "ablation", "target_pass1_max"}
 
 
@@ -82,29 +73,16 @@ def load_config(path_flag: str | None) -> dict:
 
 
 def reward_config_from(doc: dict, defaults: RewardConfig | None = None) -> RewardConfig:
-    base = defaults or RewardConfig()
     section = doc.get("reward", {})
-    kwargs = {
-        "alpha": base.alpha,
-        "tau": base.tau,
-        "length_unit": base.length_unit,
-        "open_marker": base.open_marker,
-        "close_marker": base.close_marker,
-    }
-    for key in ("alpha", "tau", "length_unit"):
-        if key in section:
-            kwargs[key] = section[key]
+    overrides = {key: section[key] for key in ("alpha", "tau", "length_unit") if key in section}
     if "markers" in section:
         markers = section["markers"]
         if not isinstance(markers, dict):
             raise CliError("reward.markers must be an object with open/close")
         _check_keys("reward.markers", markers, {"open", "close"})
-        if "open" in markers:
-            kwargs["open_marker"] = markers["open"]
-        if "close" in markers:
-            kwargs["close_marker"] = markers["close"]
+        overrides.update({f"{end}_marker": markers[end] for end in ("open", "close") if end in markers})
     try:
-        return RewardConfig(**kwargs)
+        return dataclasses.replace(defaults or RewardConfig(), **overrides)
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad reward config: {exc}") from None
 
@@ -123,27 +101,18 @@ def optim_config_from(doc: dict) -> OptimConfig:
         raise CliError(f"bad optim config: {exc}") from None
 
 
-def _read_lines(path: str) -> list[bytes]:
-    try:
-        raw = Path(path).read_bytes()
-    except OSError as exc:
-        raise CliError(f"cannot read {path!r}: {exc}") from None
-    lines = raw.split(b"\n")
-    if lines and not lines[-1]:
-        lines.pop()
-    return lines
-
-
 def cmd_score(args: argparse.Namespace) -> int:
     config = reward_config_from(load_config(args.config))
-    lines = _read_lines(args.input)
-    if not lines:
-        raise CliError(f"input {args.input!r} is empty")
-    replies, breakdowns = score_lines(lines, config)
-    out = "\n".join(json.dumps(r, ensure_ascii=False) for r in replies) + "\n"
     try:
-        # backslashreplace writes a lone surrogate in an id as its JSON escape.
-        Path(args.output).write_text(out, encoding="utf-8", errors="backslashreplace")
+        with open(args.input, "rb") as lines:
+            replies, breakdowns = score_lines(lines, config)
+    except OSError as exc:
+        raise CliError(f"cannot read {args.input!r}: {exc}") from None
+    if not replies:
+        raise CliError(f"input {args.input!r} is empty")
+    try:
+        with open(args.output, "wb") as out:
+            out.writelines(map(_encode_reply, replies))
     except OSError as exc:
         raise CliError(f"cannot write {args.output!r}: {exc}") from None
     print(json.dumps(summarize(breakdowns).to_dict(), ensure_ascii=False))
@@ -155,9 +124,12 @@ def _parse_bind(bind: str) -> tuple[str, int]:
     if not sep or not host:
         raise CliError(f"--bind expects host:port, got {bind!r}")
     try:
-        return host, int(port)
+        port_no = int(port)
     except ValueError:
         raise CliError(f"bad port in --bind {bind!r}") from None
+    if not 0 <= port_no <= 65535:
+        raise CliError(f"port in --bind {bind!r} must be in 0-65535")
+    return host, port_no
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -189,27 +161,30 @@ def cmd_passk(args: argparse.Namespace) -> int:
     if not ks:
         raise CliError("--ks lists no values")
 
-    lines = _read_lines(args.input)
-    if not lines:
-        raise CliError(f"input {args.input!r} is empty")
     n_seen: int | None = None
     counts: list[int] = []
-    for lineno, raw in enumerate(lines, start=1):
-        try:
-            obj = json.loads(raw.decode("utf-8"))
-        except (ValueError, RecursionError) as exc:  # also bad UTF-8, int digit limit
-            raise CliError(f"line {lineno}: {exc}") from None
-        if not isinstance(obj, dict) or "n" not in obj:
-            raise CliError(f"line {lineno}: expected an object with n and c")
-        c = obj.get("c", obj.get("correct_count"))
-        n = obj["n"]
-        if any(not isinstance(v, int) or isinstance(v, bool) for v in (n, c)):
-            raise CliError(f"line {lineno}: n and c must be integers")
-        if n_seen is None:
-            n_seen = n
-        elif n != n_seen:
-            raise CliError(f"line {lineno}: n={n} but earlier records had n={n_seen}")
-        counts.append(c)
+    try:
+        with open(args.input, "rb") as lines:
+            for lineno, raw in enumerate(lines, start=1):
+                try:
+                    obj = json.loads(raw.removesuffix(b"\n").decode("utf-8"))
+                except (ValueError, RecursionError) as exc:  # also bad UTF-8, int digit limit
+                    raise CliError(f"line {lineno}: {exc}") from None
+                if not isinstance(obj, dict) or "n" not in obj:
+                    raise CliError(f"line {lineno}: expected an object with n and c")
+                c = obj.get("c", obj.get("correct_count"))
+                n = obj["n"]
+                if any(not isinstance(v, int) or isinstance(v, bool) for v in (n, c)):
+                    raise CliError(f"line {lineno}: n and c must be integers")
+                if n_seen is None:
+                    n_seen = n
+                elif n != n_seen:
+                    raise CliError(f"line {lineno}: n={n} but earlier records had n={n_seen}")
+                counts.append(c)
+    except OSError as exc:
+        raise CliError(f"cannot read {args.input!r}: {exc}") from None
+    if not counts:
+        raise CliError(f"input {args.input!r} is empty")
     try:
         curve = pass_at_k_curve(PassAtKInput(n=n_seen, counts=tuple(counts), ks=ks))
     except (ValueError, OverflowError) as exc:  # OverflowError: n beyond float range
@@ -267,6 +242,14 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
+def _train_value(section: dict, key: str, default, kinds):
+    """``section[key]`` (or ``default``) if it is an instance of ``kinds`` and not a bool."""
+    value = section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise TypeError(f"{key} must be {'an integer' if kinds is int else 'a number'}, got {value!r}")
+    return value
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     doc = load_config(args.config)
     reward_cfg = reward_config_from(doc, defaults=toy_reward_config())
@@ -274,12 +257,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     section = doc.get("train", {})
 
     try:
-        steps = args.steps if args.steps is not None else int(section.get("steps", 2000))
-        seed = args.seed if args.seed is not None else int(section.get("seed", 0))
-        max_len = int(section.get("max_len", 24))
-        temperature = float(section.get("temperature", 1.0))
-        target = float(section.get("target_pass1_max", 0.10))
-    except (TypeError, ValueError, OverflowError) as exc:
+        steps = args.steps if args.steps is not None else _train_value(section, "steps", 2000, int)
+        seed = args.seed if args.seed is not None else _train_value(section, "seed", 0, int)
+        max_len = _train_value(section, "max_len", 24, int)
+        temperature = float(_train_value(section, "temperature", 1.0, (int, float)))
+        target = float(_train_value(section, "target_pass1_max", 0.10, (int, float)))
+    except (TypeError, OverflowError) as exc:  # OverflowError: an int beyond float range
         raise CliError(f"bad train config: {exc}") from None
     ablation = args.ablation or section.get("ablation", "full")
     if ablation not in ABLATIONS:

@@ -29,7 +29,9 @@ def pass_at_k_single(n: int, c: int, k: int) -> float:
 
     Estimates the probability that at least one of k fresh samples would be
     correct, as 1 - C(n-c, k)/C(n, k), evaluated via the running product
-    prod_{j<k} (n-c-j)/(n-j) so no binomial coefficients overflow.
+    prod_{j<min(k,c)} (n-max(k,c)-j)/(n-j) so no binomial coefficients
+    overflow.  The ratio is symmetric in k and c, so the product takes
+    min(k, c) factors, not k.
 
     Args:
         n: number of samples drawn for the problem, n >= 1.
@@ -50,8 +52,9 @@ def pass_at_k_single(n: int, c: int, k: int) -> float:
     if n - c < k:
         return 1.0
     miss_prob = 1.0
-    for j in range(k):
-        miss_prob *= float(n - c - j) / float(n - j)
+    few, many = sorted((k, c))
+    for j in range(few):
+        miss_prob *= float(n - many - j) / float(n - j)
     return 1.0 - miss_prob
 
 

@@ -4,8 +4,9 @@ One JSON object per line in, one per line out.  A malformed line produces an
 error object in the same position instead of aborting the run, so output
 line counts always equal input line counts.  The service speaks the same
 format over a TCP stream socket (or stdin/stdout) and is stateless; batch
-and service paths call the same scoring function, so their breakdowns agree
-field for field.
+and service paths both score each line with ``score_line`` and write it with
+``_encode_reply``, so they agree field for field and error text for error
+text.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ __all__ = [
     "decode_line",
     "score_record",
     "summarize",
+    "score_line",
     "score_lines",
     "RewardService",
     "serve_stdio",
@@ -143,30 +145,36 @@ def summarize(breakdowns: list[RewardBreakdown]) -> ScoreSummary:
     )
 
 
-def score_lines(lines, config: RewardConfig) -> tuple[list[dict], list[RewardBreakdown]]:
-    """Score an iterable of raw lines; errors become positional error objects."""
-    replies: list[dict] = []
-    breakdowns: list[RewardBreakdown] = []
-    for lineno, raw in enumerate(lines, start=1):
-        try:
-            reply, breakdown = score_record(decode_line(raw), config)
-        except RecordError as exc:
-            replies.append({"line": lineno, "error": str(exc)})
-            continue
-        replies.append(reply)
-        breakdowns.append(breakdown)
-    return replies, breakdowns
+def score_line(raw: bytes | str, config: RewardConfig) -> tuple[dict, RewardBreakdown | None]:
+    """Score one raw line, with or without its trailing newline.
 
-
-def _service_reply(raw: bytes | str, config: RewardConfig) -> dict:
+    Exactly one trailing ``\\n`` is dropped before decoding, so a line gets
+    the same reply however it was framed.  Returns the reply and breakdown,
+    or ``({"id", "error"}, None)`` for a bad line; the id is echoed when the
+    line decoded to an object holding a string id.
+    """
+    raw = raw.removesuffix(b"\n" if isinstance(raw, bytes) else "\n")
     record = None
     try:
         record = decode_line(raw)
-        reply, _ = score_record(record, config)
-        return reply
+        return score_record(record, config)
     except RecordError as exc:
-        rid = record.get("id") if isinstance(record, dict) else None
-        return {"id": rid if isinstance(rid, str) else None, "error": str(exc)}
+        rid = record.get("id") if record is not None else None
+        return {"id": rid if isinstance(rid, str) else None, "error": str(exc)}, None
+
+
+def score_lines(lines, config: RewardConfig) -> tuple[list[dict], list[RewardBreakdown]]:
+    """Score raw lines, such as an open binary file; errors become positional error objects."""
+    replies: list[dict] = []
+    breakdowns: list[RewardBreakdown] = []
+    for lineno, raw in enumerate(lines, start=1):
+        reply, breakdown = score_line(raw, config)
+        if breakdown is None:
+            reply = {"line": lineno, "error": reply["error"]}
+        else:
+            breakdowns.append(breakdown)
+        replies.append(reply)
+    return replies, breakdowns
 
 
 def _encode_reply(reply: dict) -> bytes:
@@ -199,5 +207,5 @@ class RewardService(socketserver.ThreadingTCPServer):
 def serve_stdio(config: RewardConfig, in_stream, out_stream) -> None:
     """Serve the same line protocol over a pair of byte streams."""
     for raw in in_stream:
-        out_stream.write(_encode_reply(_service_reply(raw, config)))
+        out_stream.write(_encode_reply(score_line(raw, config)[0]))
         out_stream.flush()

@@ -2,8 +2,10 @@
 
 import io
 import json
+import re
 import socket
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,7 +19,7 @@ from entrl import (
     pass_at_k_curve,
     score_lines,
 )
-from entrl.cli import CONFIG_ENV_VAR, main
+from entrl.cli import CONFIG_ENV_VAR, load_config, main, optim_config_from, reward_config_from
 
 
 @pytest.fixture(autouse=True)
@@ -122,6 +124,16 @@ class TestConfigHandling:
         assert code == 1
         assert "alias clash" in capsys.readouterr().err
 
+    def test_readme_config_example_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+        (example,) = [block for block in blocks if '"optim"' in block]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(example, encoding="utf-8")
+        doc = load_config(str(cfg))
+        assert reward_config_from(doc) == RewardConfig(tau=2)
+        assert optim_config_from(doc).group_size == 16
+
     def test_bad_reward_value_reported(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"reward": {"alpha": 2.0}}')
@@ -197,7 +209,7 @@ class TestServeCommand:
         batch, _ = score_lines(raw.splitlines(), RewardConfig())
         assert replies == batch
 
-    @pytest.mark.parametrize("bind", ["nohost", ":8000", "127.0.0.1:notaport"])
+    @pytest.mark.parametrize("bind", ["nohost", ":8000", "127.0.0.1:notaport", "127.0.0.1:70000", "127.0.0.1:-1"])
     def test_bad_bind(self, bind, capsys):
         assert main(["serve", "--bind", bind]) == 1
         assert "--bind" in capsys.readouterr().err
@@ -275,6 +287,13 @@ class TestPasskCommand:
         assert main(["passk", "--input", str(inp), "--ks", ks, "--output", str(tmp_path / "o")]) == 1
         assert "--ks" in capsys.readouterr().err
 
+    def test_few_correct_huge_k(self, tmp_path, capsys):
+        inp = tmp_path / "counts.jsonl"
+        write_jsonl(inp, [{"n": 10**11, "c": 1}])
+        out = tmp_path / "curve.csv"
+        assert main(["passk", "--input", str(inp), "--ks", str(10**11 - 1), "--output", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["estimates"] == [pytest.approx(1 - 1e-11, rel=0, abs=1e-15)]
+
     def test_k_beyond_n_is_fatal(self, tmp_path, capsys):
         inp = tmp_path / "counts.jsonl"
         write_jsonl(inp, [{"n": 6, "c": 1}])
@@ -351,11 +370,15 @@ class TestTrainCommand:
         assert "unknown ablation" in capsys.readouterr().err
 
     def test_bad_train_value_reported(self, tmp_path, capsys):
+        # Counts are integers and the rest real numbers; nothing is coerced.
         cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"train": {"steps": "abc"}}')
-        code = main(["train", "--config", str(cfg), "--lexicon", "x", "--out", str(tmp_path / "o")])
-        assert code == 1
-        assert "bad train config" in capsys.readouterr().err
+        for train in ('{"steps": "abc"}', '{"steps": 2.9}', '{"seed": "3"}', '{"max_len": true}',
+                      '{"temperature": "1.0"}', '{"temperature": false}', '{"temperature": ' + str(10**400) + "}",
+                      '{"target_pass1_max": "0.1"}', '{"target_pass1_max": true}'):
+            cfg.write_text('{"train": ' + train + "}")
+            code = main(["train", "--config", str(cfg), "--lexicon", "x", "--out", str(tmp_path / "o")])
+            assert code == 1, train
+            assert "bad train config" in capsys.readouterr().err, train
 
     def test_non_integer_group_size_rejected_before_prior(self, tmp_path, capsys, monkeypatch):
         task = tmp_path / "task"

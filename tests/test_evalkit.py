@@ -45,6 +45,10 @@ class TestPassAtKSingle:
         value = pass_at_k_single(10_000, 1, 5_000)
         assert 0.0 <= value <= 1.0
 
+    def test_few_correct_huge_k_takes_c_steps(self):
+        # C(n-c, k)/C(n, k) has c factors here; a k-factor loop would not return.
+        assert pass_at_k_single(10**11, 1, 10**11 - 1) == pytest.approx(1 - 1e-11, rel=0, abs=1e-15)
+
     @pytest.mark.parametrize("n,c,k", [(0, 0, 1), (4, -1, 1), (4, 5, 1), (4, 2, 0), (4, 2, 5)])
     def test_rejects_bad_arguments(self, n, c, k):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import socket
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entrl import (
@@ -305,15 +305,23 @@ _byte_lines = st.binary(max_size=48).map(lambda raw: raw.replace(b"\n", b""))
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_byte_lines | _json_lines, max_size=8))
+@example([b"abc\xe2\x82"])  # truncated UTF-8: its error text must not depend on the newline
 def test_every_line_gets_exactly_one_reply(lines):
     replies, _ = score_lines(lines, CFG)
     assert len(replies) == len(lines)
+    framed = b"".join(line + b"\n" for line in lines)
+    assert score_lines(io.BytesIO(framed), CFG)[0] == replies
     out = io.BytesIO()
-    serve_stdio(CFG, io.BytesIO(b"".join(line + b"\n" for line in lines)), out)
+    serve_stdio(CFG, io.BytesIO(framed), out)
     served = out.getvalue().split(b"\n")
     assert served.pop() == b""
     assert len(served) == len(lines)
-    assert all(isinstance(json.loads(reply), dict) for reply in served)
+    # Batch and service give the same scored reply, or the same error text.
+    for lineno, (batch, reply) in enumerate(zip(replies, map(json.loads, served)), start=1):
+        if "error" in batch:
+            assert batch["line"] == lineno and reply["error"] == batch["error"]
+        else:
+            assert reply == batch
 
 
 def roundtrip(address, lines):
