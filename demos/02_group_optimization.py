@@ -52,14 +52,11 @@ for m in range(4):
     rollout = sample_rollout(policy, entity, max_len=12, seed=(0, m))
     # Alternating rewards stand in for the scorer so the group carries signal.
     members.append(GroupMember(rollout.tokens, rollout.old_logp, reward=1.2 if m % 2 else 0.2))
-group = RolloutGroup(
-    entity, members,
-    advantages=group_advantages(np.array([m.reward for m in members])),
-    snapshot_version=policy.snapshot_version,
-)
+group = RolloutGroup(entity, members, policy.snapshot_version)
 
-# The update only moves the live parameters; the objective is evaluated
-# against them separately, before and after.
+# Both calls normalize the group's rewards into advantages themselves.  The
+# update only moves the live parameters; the objective is evaluated against
+# them separately, before and after.
 before = surrogate_objective(policy, [group], config)
 policy_update_step(policy, [group], config, rng=np.random.default_rng(0))
 after = surrogate_objective(policy, [group], config)

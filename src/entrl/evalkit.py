@@ -31,7 +31,8 @@ def pass_at_k_single(n: int, c: int, k: int) -> float:
     correct, as 1 - C(n-c, k)/C(n, k), evaluated via the running product
     prod_{j<min(k,c)} (n-max(k,c)-j)/(n-j) so no binomial coefficients
     overflow.  The ratio is symmetric in k and c, so the product takes
-    min(k, c) factors, not k.
+    min(k, c) factors, not k.  Every factor is <= 1, so the loop stops as
+    soon as 1 - product rounds to 1.0; later factors cannot change that.
 
     Args:
         n: number of samples drawn for the problem, n >= 1.
@@ -55,6 +56,8 @@ def pass_at_k_single(n: int, c: int, k: int) -> float:
     few, many = sorted((k, c))
     for j in range(few):
         miss_prob *= float(n - many - j) / float(n - j)
+        if 1.0 - miss_prob == 1.0:
+            break
     return 1.0 - miss_prob
 
 
@@ -106,21 +109,16 @@ def pass_at_k_curve(data: PassAtKInput) -> PassAtKCurve:
     return PassAtKCurve(ks=data.ks, estimates=estimates)
 
 
-def entity_accuracy(breakdowns: Iterable[RewardBreakdown], require_gates: bool = False) -> float:
+def entity_accuracy(breakdowns: Iterable[RewardBreakdown]) -> float:
     """Percentage of breakdowns whose match bit is set.
 
-    Gate bits are ignored by default: a correct entity in an over-long
-    response still counts.  With ``require_gates=True`` a breakdown counts
-    only when both gates passed as well.
+    Gate bits are ignored: a correct entity in an over-long response still
+    counts.
     """
     rows = list(breakdowns)
     if not rows:
         raise ValueError("no breakdowns to aggregate")
-    if require_gates:
-        hits = sum(1 for b in rows if b.match and b.fmt_gate and b.len_gate)
-    else:
-        hits = sum(1 for b in rows if b.match)
-    return 100.0 * hits / len(rows)
+    return 100.0 * sum(1 for b in rows if b.match) / len(rows)
 
 
 def _ngram_counts(text: str, n: int) -> Counter:

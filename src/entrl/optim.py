@@ -1,7 +1,8 @@
 """Critic-free policy optimization on grouped rollouts.
 
-For each prompt a group of G rollouts is scored, and advantages are the
-group-normalized rewards (population statistics, no learned baseline).
+For each prompt a group of G rollouts is scored.  Both entry points
+validate the groups once and turn each group's rewards into advantages
+with ``group_advantages`` (population statistics, no learned baseline).
 Each rollout contributes through a sequence-level, length-normalized
 importance ratio
 
@@ -23,6 +24,7 @@ passes over the same batch cannot push a sequence further.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +66,9 @@ class OptimConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.group_size < 2:
             raise ValueError(f"group_size must be >= 2, got {self.group_size}")
+        for name in ("eps_low", "eps_high", "learning_rate", "std_floor"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a real number, not a boolean")
         for name in ("eps_low", "eps_high"):
             eps = getattr(self, name)
             if not 0.0 < eps < 1.0:
@@ -76,7 +81,7 @@ class OptimConfig:
             raise ValueError(f"std_floor must be finite and positive, got {self.std_floor}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroupMember:
     """One rollout: its tokens, their log-probs under the sampling snapshot,
     and its scalar reward."""
@@ -86,18 +91,16 @@ class GroupMember:
     reward: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class RolloutGroup:
-    """G rollouts for one prompt, plus advantages once computed.
+    """G rollouts for one prompt and the policy snapshot that sampled them.
 
-    ``snapshot_version`` records which policy snapshot sampled the group so
-    stale rollouts can be rejected; None disables the check.
+    ``snapshot_version`` lets the optimizer reject stale rollouts.
     """
 
     prompt_id: str
     members: list[GroupMember]
-    advantages: np.ndarray | None = None
-    snapshot_version: int | None = None
+    snapshot_version: int
 
 
 def group_advantages(rewards, std_floor: float = 1e-6) -> np.ndarray:
@@ -138,22 +141,21 @@ def clipped_term(s: float, advantage: float, eps_low: float, eps_high: float) ->
     return min(s * advantage, clipped_s * advantage)
 
 
-def _check_groups(policy, groups: list[RolloutGroup]) -> None:
+def _check_groups(policy, groups: list[RolloutGroup], config: OptimConfig) -> list[np.ndarray]:
+    """Validate every group and member, then return each group's advantages."""
     if not groups:
         raise ValueError("no groups")
     for grp in groups:
         if not grp.members:
             raise ValueError(f"group {grp.prompt_id!r} has no members")
-        if grp.advantages is None:
-            raise ValueError(f"group {grp.prompt_id!r} has no advantages")
-        if len(grp.advantages) != len(grp.members):
-            raise ValueError(f"group {grp.prompt_id!r}: advantages length != member count")
-        if grp.snapshot_version is not None and grp.snapshot_version != policy.snapshot_version:
+        if grp.snapshot_version != policy.snapshot_version:
             raise ValueError(
                 f"stale rollouts: group {grp.prompt_id!r} sampled under snapshot "
                 f"{grp.snapshot_version}, policy is at {policy.snapshot_version}"
             )
         for member in grp.members:
+            if not math.isfinite(member.reward):
+                raise ValueError(f"reward must be finite, got {member.reward!r}")
             if not member.tokens:
                 raise ValueError("empty token sequence")
             if np.shape(member.old_logp) != (len(member.tokens),):
@@ -162,6 +164,7 @@ def _check_groups(policy, groups: list[RolloutGroup]) -> None:
                 )
             if np.any(np.greater(member.old_logp, 0.0)):
                 raise ValueError("log-probabilities must be <= 0")
+    return [group_advantages([m.reward for m in grp.members], config.std_floor) for grp in groups]
 
 
 def surrogate_objective(policy, groups: list[RolloutGroup], config: OptimConfig) -> float:
@@ -171,11 +174,10 @@ def surrogate_objective(policy, groups: list[RolloutGroup], config: OptimConfig)
     parameters all ratios are 1 and the objective is exactly the mean
     advantage, i.e. 0 for full groups.
     """
-    _check_groups(policy, groups)
     total = 0.0
-    for grp in groups:
+    for grp, advantages in zip(groups, _check_groups(policy, groups, config)):
         acc = 0.0
-        for member, adv in zip(grp.members, grp.advantages):
+        for member, adv in zip(grp.members, advantages):
             new_logp = policy.token_logps(grp.prompt_id, member.tokens)
             s = seq_importance_ratio(new_logp, member.old_logp)
             acc += clipped_term(s, float(adv), config.eps_low, config.eps_high)
@@ -202,10 +204,10 @@ def policy_update_step(
     ``accumulate_score_grad(prompt_id, tokens, coeff, grad)`` and
     ``apply_gradient(grad, learning_rate)``.
 
-    Only the policy's live parameters change; the groups are left as they
-    were.  Raises if any group was sampled under a different policy snapshot.
+    Only the policy's live parameters change.  Raises if any group was
+    sampled under a different policy snapshot.
     """
-    _check_groups(policy, groups)
+    advantages = _check_groups(policy, groups, config)
     if rng is None:
         rng = np.random.default_rng(0)
 
@@ -216,7 +218,7 @@ def policy_update_step(
         grad = policy.new_grad()
         for idx in chunk:
             grp = groups[int(idx)]
-            for member, adv in zip(grp.members, grp.advantages):
+            for member, adv in zip(grp.members, advantages[int(idx)]):
                 adv = float(adv)
                 if adv == 0.0:
                     continue

@@ -44,6 +44,9 @@ class RewardConfig:
     close_marker: str = "</think>"
 
     def __post_init__(self) -> None:
+        for name in ("alpha", "tau"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a real number, not a boolean")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if not 0.0 < self.tau < math.inf:

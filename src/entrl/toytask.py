@@ -26,13 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .evalkit import PassAtKCurve, PassAtKInput, pass_at_k_curve
-from .optim import (
-    GroupMember,
-    OptimConfig,
-    RolloutGroup,
-    group_advantages,
-    policy_update_step,
-)
+from .optim import GroupMember, OptimConfig, RolloutGroup, policy_update_step
 from .reward import RewardConfig, score_response
 from .textnorm import GoldEntitySet, normalize
 
@@ -692,8 +686,9 @@ def train(
 
     Each outer step freezes a snapshot, samples ``mini_batch_size *
     updates_per_batch`` prompts from the train split with ``group_size``
-    rollouts each, scores them under the selected ablation, normalizes
-    rewards within each group, and applies the mini-batch update passes.
+    rollouts each, scores them under the selected ablation, and hands the
+    groups to ``policy_update_step``, which normalizes rewards within each
+    group and applies the mini-batch update passes.
     Metrics row ``s`` describes the rollouts sampled at step ``s`` before
     that step's update; ``steps=0`` emits a single measurement-only row.
     ``final_rollouts`` scores the last step's rollouts, built once after
@@ -734,11 +729,7 @@ def train(
             ):
                 members.append(GroupMember(ro.tokens, ro.old_logp, breakdown.reward))
                 scored.append((ent_id, ro, breakdown, seg))
-            rewards = np.array([m.reward for m in members])
-            advantages = group_advantages(rewards, optim_cfg.std_floor)
-            groups.append(
-                RolloutGroup(ent_id, members, advantages, policy.snapshot_version)
-            )
+            groups.append(RolloutGroup(ent_id, members, policy.snapshot_version))
 
         metrics.append(_metrics_row(step, scored))
         if not measure_only:
@@ -797,6 +788,11 @@ def load_policy(path: str | Path, lexicon: SyntheticLexicon) -> ToyPolicy:
         if str(data["lexicon_digest"]) != _lexicon_digest(lexicon):
             raise ValueError("policy file does not match this lexicon")
         policy = ToyPolicy(lexicon, data["logits"], float(data["temperature"]))
-        policy.params_old = np.asarray(data["params_old"], dtype=float)
+        params_old = np.asarray(data["params_old"], dtype=float)
+        if params_old.shape != policy.logits.shape:
+            raise ValueError(f"params_old shape {params_old.shape} != {policy.logits.shape}")
+        if not (np.isfinite(policy.logits).all() and np.isfinite(params_old).all()):
+            raise ValueError("policy file holds non-finite parameters")
+        policy.params_old = params_old
         policy.snapshot_version = int(data["snapshot_version"])
     return policy

@@ -19,7 +19,6 @@ from entrl import (
     OptimConfig,
     RolloutGroup,
     gen_lexicon,
-    group_advantages,
     policy_update_step,
     sample_rollout,
     seq_importance_ratio,
@@ -43,22 +42,15 @@ def build_fixture(seed: int = 0, n_groups: int = 6, group_size: int = 4):
     groups = []
     for g in range(n_groups):
         ent = entity_ids[g % len(entity_ids)]
-        members = []
-        for m in range(group_size):
-            ro = sample_rollout(policy, ent, max_len=6, seed=(seed, g, m))
-            members.append(GroupMember(ro.tokens, ro.old_logp, reward=0.0))
         while True:
             rewards = rng.choice([0.0, 0.2, 1.2], size=group_size)
             if rewards.std() > 1e-6:
                 break
-        for member, r in zip(members, rewards):
-            member.reward = float(r)
-        groups.append(RolloutGroup(
-            prompt_id=ent,
-            members=members,
-            advantages=group_advantages(rewards),
-            snapshot_version=policy.snapshot_version,
-        ))
+        members = []
+        for m, reward in enumerate(rewards):
+            ro = sample_rollout(policy, ent, max_len=6, seed=(seed, g, m))
+            members.append(GroupMember(ro.tokens, ro.old_logp, float(reward)))
+        groups.append(RolloutGroup(ent, members, policy.snapshot_version))
 
     # Perturb entity 0 only; entity 1 members keep ratio exactly 1.
     delta = rng.normal(0.0, 0.05, size=policy.logits.shape)

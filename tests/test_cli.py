@@ -117,6 +117,21 @@ class TestConfigHandling:
         out = tmp_path / "out.jsonl"
         assert main(["score", "--input", str(inp), "--config", str(good), "--output", str(out)]) == 0
 
+    def test_env_var_config_reaches_train_and_flag_wins(self, tmp_path, capsys, monkeypatch):
+        # Each config is rejected before the lexicon is read, and its error
+        # shows which of the two files was used.
+        env_cfg = tmp_path / "env.json"
+        env_cfg.write_text('{"optim": {"std_floor": true}}')
+        monkeypatch.setenv(CONFIG_ENV_VAR, str(env_cfg))
+        args = ["train", "--lexicon", str(tmp_path / "none.json"), "--out", str(tmp_path / "o")]
+        assert main(args) == 1
+        assert "std_floor must be a real number, not a boolean" in capsys.readouterr().err
+        flag_cfg = tmp_path / "flag.json"
+        flag_cfg.write_text('{"optim": {"G": 2.5}}')
+        assert main(args + ["--config", str(flag_cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "group_size must be an integer" in err and "std_floor" not in err
+
     def test_optim_alias_clash(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"optim": {"G": 4, "group_size": 8}, "train": {"steps": 1}}')

@@ -100,10 +100,10 @@ class TestSeqImportanceRatio:
         assert np.isfinite(seq_importance_ratio(np.full(n, -1.0), np.full(n, -200.0)))
 
 
-def _one_member_group(policy, tokens, old_logp):
+def _one_member_group(policy, tokens, old_logp, reward=1.0):
     return RolloutGroup(
-        "E0", [GroupMember(tokens, np.asarray(old_logp, dtype=float), 1.0)],
-        advantages=np.array([1.0]), snapshot_version=policy.snapshot_version,
+        "E0", [GroupMember(tokens, np.asarray(old_logp, dtype=float), reward)],
+        policy.snapshot_version,
     )
 
 
@@ -134,16 +134,16 @@ class TestBoundaryValidation:
             entry(policy, [_one_member_group(policy, (6, 7), [-1.0])])
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS, ids=ENTRY_IDS)
-    def test_rejects_advantage_count_mismatch(self, entry):
-        policy, groups = build_fixture(seed=0)
-        groups[0].advantages = groups[0].advantages[:-1]
-        with pytest.raises(ValueError, match="advantages length"):
-            entry(policy, groups)
+    @pytest.mark.parametrize("reward", [float("nan"), float("inf")])
+    def test_rejects_non_finite_reward(self, entry, reward):
+        policy, _ = build_fixture(seed=0)
+        with pytest.raises(ValueError, match="reward must be finite"):
+            entry(policy, [_one_member_group(policy, (6,), [-1.0], reward)])
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS, ids=ENTRY_IDS)
     def test_rejects_group_without_members(self, entry):
         policy, _ = build_fixture(seed=0)
-        grp = RolloutGroup("E0", [], advantages=np.zeros(0))
+        grp = RolloutGroup("E0", [], policy.snapshot_version)
         with pytest.raises(ValueError, match="no members"):
             entry(policy, [grp])
 
@@ -185,6 +185,10 @@ class TestOptimConfigValidation:
         {"group_size": 2.5},
         {"mini_batch_size": 1.5},
         {"updates_per_batch": True},
+        {"eps_low": True},
+        {"eps_high": True},
+        {"learning_rate": True},
+        {"std_floor": True},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -204,15 +208,9 @@ class TestSurrogateObjective:
             GroupMember(m.tokens, policy.token_logps(ent, m.tokens), r)
             for m, r in zip(groups[0].members, rewards)
         ]
-        grp = RolloutGroup(ent, members, advantages=group_advantages(rewards))
+        grp = RolloutGroup(ent, members, policy.snapshot_version)
         value = surrogate_objective(policy, [grp], OptimConfig(group_size=4))
         assert value == pytest.approx(0.0, abs=1e-12)
-
-    def test_requires_advantages(self):
-        policy, groups = build_fixture(seed=0)
-        groups[0].advantages = None
-        with pytest.raises(ValueError, match="advantages"):
-            surrogate_objective(policy, groups, OptimConfig())
 
     def test_rejects_empty_groups(self):
         policy, _ = build_fixture(seed=0)
@@ -245,17 +243,13 @@ class TestPolicyUpdateStep:
         policy, groups = build_fixture(seed=0)
         ent = groups[0].prompt_id
         members = []
-        for member, shift in zip(groups[0].members[:2], (+0.01, -0.01)):
+        for member, shift, reward in zip(groups[0].members[:2], (+0.01, -0.01), (1.2, 0.2)):
             live = policy.token_logps(ent, member.tokens)
             old = live - shift
             assert np.all(old <= 0.0)
-            members.append(GroupMember(member.tokens, old, reward=0.0))
-        grp = RolloutGroup(
-            ent, members,
-            advantages=np.array([1.0, -1.0]),
-            snapshot_version=policy.snapshot_version,
-        )
-        for member, adv in zip(grp.members, grp.advantages):
+            members.append(GroupMember(member.tokens, old, reward))
+        grp = RolloutGroup(ent, members, policy.snapshot_version)
+        for member, adv in zip(grp.members, (1.0, -1.0)):
             s = seq_importance_ratio(policy.token_logps(ent, member.tokens), member.old_logp)
             assert (s > 1 + CONFIG.eps_high) if adv > 0 else (s < 1 - CONFIG.eps_low)
         before = policy.logits.copy()
@@ -268,15 +262,11 @@ class TestPolicyUpdateStep:
         policy, groups = build_fixture(seed=0)
         ent = groups[0].prompt_id
         members = []
-        for member, shift in zip(groups[0].members[:2], (-0.01, +0.01)):
+        for member, shift, reward in zip(groups[0].members[:2], (-0.01, +0.01), (1.2, 0.2)):
             old = policy.token_logps(ent, member.tokens) - shift
             assert np.all(old <= 0.0)
-            members.append(GroupMember(member.tokens, old, reward=0.0))
-        grp = RolloutGroup(
-            ent, members,
-            advantages=np.array([1.0, -1.0]),
-            snapshot_version=policy.snapshot_version,
-        )
+            members.append(GroupMember(member.tokens, old, reward))
+        grp = RolloutGroup(ent, members, policy.snapshot_version)
         before = policy.logits.copy()
         policy_update_step(policy, [grp], CONFIG)
         assert np.any(policy.logits != before)
@@ -293,16 +283,12 @@ class TestPolicyUpdateStep:
             GroupMember(source.tokens, policy.token_logps(ent, source.tokens), reward)
             for source, reward in ((first, 1.2), (second, 0.2))
         ]
-        grp = RolloutGroup(
-            ent, members,
-            advantages=group_advantages([m.reward for m in members]),
-            snapshot_version=policy.snapshot_version,
-        )
+        grp = RolloutGroup(ent, members, policy.snapshot_version)
         config = OptimConfig(
             group_size=2, learning_rate=100.0, mini_batch_size=1, updates_per_batch=1
         )
         policy_update_step(policy, [grp], config)
-        for member, adv in zip(grp.members, grp.advantages):
+        for member, adv in zip(grp.members, (1.0, -1.0)):
             s = seq_importance_ratio(policy.token_logps(ent, member.tokens), member.old_logp)
             assert (s > 1 + config.eps_high) if adv > 0 else (s < 1 - config.eps_low)
         before = policy.logits.copy()
@@ -333,11 +319,23 @@ class TestPolicyUpdateStep:
         with pytest.raises(ValueError, match="stale"):
             policy_update_step(policy, groups, CONFIG)
 
-    def test_missing_advantages_rejected(self):
+    def test_advantages_use_config_std_floor(self):
+        # The update normalizes each group's rewards itself: a spread below
+        # the configured floor carries no signal, one above it does.
         policy, groups = build_fixture(seed=0)
-        groups[0].advantages = None
-        with pytest.raises(ValueError, match="advantages"):
-            policy_update_step(policy, groups, CONFIG)
+        ent = groups[0].prompt_id
+        members = [
+            GroupMember(m.tokens, policy.token_logps(ent, m.tokens), reward)
+            for m, reward in zip(groups[0].members[:2], (1.0, 1.0 + 1e-9))
+        ]
+        grp = RolloutGroup(ent, members, policy.snapshot_version)
+        before = policy.logits.copy()
+        policy_update_step(policy, [grp], OptimConfig(group_size=2, learning_rate=1.0))
+        np.testing.assert_array_equal(policy.logits, before)
+        policy_update_step(
+            policy, [grp], OptimConfig(group_size=2, learning_rate=1.0, std_floor=1e-12)
+        )
+        assert np.any(policy.logits != before)
 
     def test_moves_only_live_parameters(self):
         # The update returns nothing and leaves its inputs as they were:

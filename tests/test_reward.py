@@ -70,6 +70,8 @@ class TestRewardConfigValidation:
         {"open_marker": "<m>", "close_marker": "<m>end"},
         {"tau": float("nan")},
         {"tau": float("inf")},
+        {"alpha": True},
+        {"tau": True},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):

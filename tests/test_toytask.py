@@ -455,3 +455,18 @@ class TestPolicySerialization:
         other = gen_lexicon(seed=99, n_entities=6, vocab_size=32)
         with pytest.raises(ValueError, match="does not match"):
             load_policy(path, other)
+
+    @pytest.mark.parametrize("field,value,match", [
+        ("params_old", np.full((6, 32, 33), np.nan), "shape"),
+        ("params_old", np.full((6, 32, 32), np.nan), "non-finite"),
+        ("logits", np.full((6, 32, 32), np.inf), "non-finite"),
+    ])
+    def test_doctored_parameters_rejected(self, tmp_path, field, value, match):
+        path = tmp_path / "policy.npz"
+        save_policy(small_policy(), path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays[field] = value
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=match):
+            load_policy(path, LEX)
