@@ -275,8 +275,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot load lexicon {lexicon_path!r}: {exc}") from None
 
-    policy_cfg = PolicyConfig(temperature=temperature, max_len=max_len)
     try:
+        policy_cfg = PolicyConfig(temperature=temperature, max_len=max_len)
         policy = init_activation_prior(lexicon, policy_cfg, target_pass1_max=target, seed=seed)
         result = train(
             lexicon,

@@ -17,6 +17,19 @@ stored on its ``GroupMember``; ``new_logp`` is computed from the live policy
 whenever a ratio is needed, so both the objective and the update are pure
 functions of (policy, groups) and no group carries state between passes.
 
+Both entry points flatten the groups once into per-token and per-rollout
+arrays and work on whole arrays from there.  The policy they are given must
+expose ``snapshot_version`` and these methods, where ``states``, ``tokens``
+and ``coeffs`` hold one entry per token:
+
+- ``token_states(prompt_ids, tokens, lengths)``: the state each token of
+  the concatenated sequences is drawn from, given each sequence's prompt
+  and length;
+- ``state_logps(states, tokens)``: live log-probabilities;
+- ``new_grad()`` and ``accumulate_score_grad(states, tokens, coeffs, grad)``,
+  which adds ``coeffs[i]`` times the score gradient of row ``i``, in order;
+- ``apply_gradient(grad, learning_rate)``.
+
 The clip band is asymmetric and deliberately tight; once a term is clipped
 it is constant in the parameters and contributes zero gradient, so later
 passes over the same batch cannot push a sequence further.
@@ -24,7 +37,7 @@ passes over the same batch cannot push a sequence further.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,28 +134,59 @@ def group_advantages(rewards, std_floor: float = 1e-6) -> np.ndarray:
     return (r - r.mean()) / std
 
 
-def seq_importance_ratio(new_logp: np.ndarray, old_logp: np.ndarray) -> float:
+def seq_importance_ratio(new_logp, old_logp):
     """Length-normalized sequence ratio exp(mean(new_logp - old_logp)).
 
     Working in log space first keeps long sequences from under/overflowing;
     the 1/|y| normalization makes the ratio comparable across lengths.
-    Identical log-probs give exactly 1.0.
+    Identical log-probs give exactly 1.0.  The mean runs over the last
+    axis, so ``(n, L)`` arrays give the ratios of ``n`` sequences of length
+    ``L``, each equal bit for bit to its own 1-d call.
     """
-    return float(np.exp(np.mean(new_logp - old_logp)))
+    return np.exp(np.mean(np.subtract(new_logp, old_logp), axis=-1))
 
 
-def clipped_term(s: float, advantage: float, eps_low: float, eps_high: float) -> float:
-    """One rollout's surrogate term min(s*A, clip(s, 1-eps_low, 1+eps_high)*A).
+def clipped_term(s, advantage, eps_low: float, eps_high: float):
+    """One rollout's surrogate term min(s*A, clip(s, 1-eps_low, 1+eps_high)*A),
+    elementwise over arrays.
 
     The result equals ``s * advantage`` exactly when the unclipped branch is
     selected, i.e. when the term still carries gradient.
     """
-    clipped_s = min(max(s, 1.0 - eps_low), 1.0 + eps_high)
-    return min(s * advantage, clipped_s * advantage)
+    clipped_s = np.minimum(np.maximum(s, 1.0 - eps_low), 1.0 + eps_high)
+    return np.minimum(s * advantage, clipped_s * advantage)
 
 
-def _check_groups(policy, groups: list[RolloutGroup], config: OptimConfig) -> list[np.ndarray]:
-    """Validate every group and member, then return each group's advantages."""
+@dataclass(frozen=True)
+class _Batch:
+    """Validated groups as flat arrays, rollouts in group then member order.
+
+    Per token: the policy's ``states``, ``tokens`` and ``old_logp``.  Per
+    rollout: the index of its first token, its length, its advantage and
+    the size of its group.  ``group_starts`` holds each group's first
+    rollout, then the rollout count.
+    """
+
+    states: np.ndarray
+    tokens: np.ndarray
+    old_logp: np.ndarray
+    starts: np.ndarray
+    lengths: np.ndarray
+    advantages: np.ndarray
+    group_size: np.ndarray
+    group_starts: np.ndarray
+
+
+def _segments(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Indices of the ranges ``[starts[i], starts[i] + lengths[i])``, concatenated."""
+    return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+
+
+def _check_groups(policy, groups: list[RolloutGroup], config: OptimConfig) -> _Batch:
+    """Validate every group and member, then flatten them with each group's advantages.
+
+    The policy's ``token_states`` checks the token ids.
+    """
     if not groups:
         raise ValueError("no groups")
     for grp in groups:
@@ -153,18 +197,56 @@ def _check_groups(policy, groups: list[RolloutGroup], config: OptimConfig) -> li
                 f"stale rollouts: group {grp.prompt_id!r} sampled under snapshot "
                 f"{grp.snapshot_version}, policy is at {policy.snapshot_version}"
             )
-        for member in grp.members:
-            if not math.isfinite(member.reward):
-                raise ValueError(f"reward must be finite, got {member.reward!r}")
-            if not member.tokens:
-                raise ValueError("empty token sequence")
-            if np.shape(member.old_logp) != (len(member.tokens),):
-                raise ValueError(
-                    f"old_logp shape {np.shape(member.old_logp)} != ({len(member.tokens)},)"
-                )
-            if np.any(np.greater(member.old_logp, 0.0)):
-                raise ValueError("log-probabilities must be <= 0")
-    return [group_advantages([m.reward for m in grp.members], config.std_floor) for grp in groups]
+    members = [m for grp in groups for m in grp.members]
+    rewards = np.array([m.reward for m in members], dtype=float)
+    finite = np.isfinite(rewards)
+    if not finite.all():
+        raise ValueError(f"reward must be finite, got {members[int(np.argmin(finite))].reward!r}")
+    lengths = np.array([len(m.tokens) for m in members])
+    if not lengths.all():
+        raise ValueError("empty token sequence")
+    shapes = [np.shape(m.old_logp) for m in members]
+    bad = next((i for i, shape in enumerate(shapes) if shape != (lengths[i],)), None)
+    if bad is not None:
+        raise ValueError(f"old_logp shape {shapes[bad]} != ({lengths[bad]},)")
+    old_logp = np.concatenate([m.old_logp for m in members]).astype(float, copy=False)
+    if np.any(old_logp > 0.0):
+        raise ValueError("log-probabilities must be <= 0")
+
+    tokens = np.fromiter(itertools.chain.from_iterable(m.tokens for m in members),
+                         dtype=np.intp, count=int(lengths.sum()))
+    states = policy.token_states([grp.prompt_id for grp in groups for _ in grp.members],
+                                 tokens, lengths)
+
+    group_sizes = np.array([len(grp.members) for grp in groups])
+    group_starts = np.concatenate(([0], np.cumsum(group_sizes)))
+    advantages = np.concatenate([
+        group_advantages(rewards[a:b], config.std_floor)
+        for a, b in zip(group_starts[:-1], group_starts[1:])
+    ])
+    return _Batch(
+        states=states, tokens=tokens, old_logp=old_logp,
+        starts=np.cumsum(lengths) - lengths, lengths=lengths, advantages=advantages,
+        group_size=np.repeat(group_sizes, group_sizes), group_starts=group_starts,
+    )
+
+
+def _live_ratios(policy, batch: _Batch, rollouts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sequence ratios of ``rollouts`` under the live policy, and the indices
+    of their tokens in rollout order."""
+    lengths = batch.lengths[rollouts]
+    tok = _segments(batch.starts[rollouts], lengths)
+    new_logp = policy.state_logps(batch.states[tok], batch.tokens[tok])
+    old_logp = batch.old_logp[tok]
+    # One (n, L) block per exact length: a mean over padded rows would group
+    # its partial sums differently from a length-L row.
+    ratios = np.empty(len(rollouts))
+    offsets = np.cumsum(lengths) - lengths
+    for length in np.flatnonzero(np.bincount(lengths)):
+        sel = np.flatnonzero(lengths == length)
+        idx = offsets[sel, None] + np.arange(length)
+        ratios[sel] = seq_importance_ratio(new_logp[idx], old_logp[idx])
+    return ratios, tok
 
 
 def surrogate_objective(policy, groups: list[RolloutGroup], config: OptimConfig) -> float:
@@ -174,15 +256,11 @@ def surrogate_objective(policy, groups: list[RolloutGroup], config: OptimConfig)
     parameters all ratios are 1 and the objective is exactly the mean
     advantage, i.e. 0 for full groups.
     """
-    total = 0.0
-    for grp, advantages in zip(groups, _check_groups(policy, groups, config)):
-        acc = 0.0
-        for member, adv in zip(grp.members, advantages):
-            new_logp = policy.token_logps(grp.prompt_id, member.tokens)
-            s = seq_importance_ratio(new_logp, member.old_logp)
-            acc += clipped_term(s, float(adv), config.eps_low, config.eps_high)
-        total += acc / len(grp.members)
-    return total / len(groups)
+    batch = _check_groups(policy, groups, config)
+    ratios, _ = _live_ratios(policy, batch, np.arange(len(batch.lengths)))
+    terms = clipped_term(ratios, batch.advantages, config.eps_low, config.eps_high)
+    group_sums = np.add.reduceat(terms, batch.group_starts[:-1])
+    return float(np.mean(group_sums / np.diff(batch.group_starts)))
 
 
 def policy_update_step(
@@ -199,15 +277,14 @@ def policy_update_step(
 
         A_i * s_i * (1/|y_i|) * sum_t grad log pi(y_t | state_t)
 
-    and a clipped-active term contributes nothing.  ``policy`` must expose
-    ``snapshot_version``, ``token_logps(prompt_id, tokens)``, ``new_grad()``,
-    ``accumulate_score_grad(prompt_id, tokens, coeff, grad)`` and
-    ``apply_gradient(grad, learning_rate)``.
+    and a clipped-active term contributes nothing.  Each mini-batch's
+    rollouts are handled as whole arrays; gradient rows are added in
+    mini-batch, member and token order.
 
     Only the policy's live parameters change.  Raises if any group was
     sampled under a different policy snapshot.
     """
-    advantages = _check_groups(policy, groups, config)
+    batch = _check_groups(policy, groups, config)
     if rng is None:
         rng = np.random.default_rng(0)
 
@@ -216,15 +293,13 @@ def policy_update_step(
         if chunk.size == 0:
             continue
         grad = policy.new_grad()
-        for idx in chunk:
-            grp = groups[int(idx)]
-            for member, adv in zip(grp.members, advantages[int(idx)]):
-                adv = float(adv)
-                if adv == 0.0:
-                    continue
-                new_logp = policy.token_logps(grp.prompt_id, member.tokens)
-                s = seq_importance_ratio(new_logp, member.old_logp)
-                if clipped_term(s, adv, config.eps_low, config.eps_high) == s * adv:
-                    coeff = adv * s / (len(member.tokens) * len(grp.members) * chunk.size)
-                    policy.accumulate_score_grad(grp.prompt_id, member.tokens, coeff, grad)
+        rollouts = _segments(batch.group_starts[chunk], np.diff(batch.group_starts)[chunk])
+        rollouts = rollouts[batch.advantages[rollouts] != 0.0]
+        ratios, tok = _live_ratios(policy, batch, rollouts)
+        adv, lengths = batch.advantages[rollouts], batch.lengths[rollouts]
+        active = clipped_term(ratios, adv, config.eps_low, config.eps_high) == ratios * adv
+        coeffs = adv * ratios / (lengths * batch.group_size[rollouts] * chunk.size)
+        tok = tok[np.repeat(active, lengths)]
+        policy.accumulate_score_grad(batch.states[tok], batch.tokens[tok],
+                                     np.repeat(coeffs[active], lengths[active]), grad)
         policy.apply_gradient(grad, config.learning_rate)

@@ -290,6 +290,27 @@ class PolicyConfig:
     k_high: int = 64
     max_attempts: int = 10
 
+    def __post_init__(self) -> None:
+        for name in ("max_len", "eval_samples", "k_high", "max_attempts"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        if self.k_high > self.eval_samples:
+            raise ValueError(f"k_high {self.k_high} exceeds eval_samples {self.eval_samples}")
+        if isinstance(self.pass64_floor, bool):
+            raise ValueError("pass64_floor must be a real number, not a boolean")
+        if not 0.0 <= self.pass64_floor <= 1.0:
+            raise ValueError(f"pass64_floor must be in [0, 1], got {self.pass64_floor}")
+
+
+# Rows of the live logits gathered at once by the update; bounds its
+# temporaries to a few hundred kB whatever the batch size.
+_ROW_BLOCK = 256
+# Uniforms each lockstep sampling row draws at a time.
+_DRAW_BLOCK = 16
+
 
 def _log_softmax(rows: np.ndarray) -> np.ndarray:
     shifted = rows - rows.max(axis=-1, keepdims=True)
@@ -307,7 +328,7 @@ class ToyPolicy:
     """
 
     def __init__(self, lexicon: SyntheticLexicon, logits: np.ndarray, temperature: float = 1.0):
-        logits = np.asarray(logits, dtype=float)
+        logits = np.ascontiguousarray(logits, dtype=float)
         expected = (len(lexicon.entities), lexicon.vocab_size, lexicon.vocab_size)
         if logits.shape != expected:
             raise ValueError(f"logits shape {logits.shape} != {expected}")
@@ -348,31 +369,52 @@ class ToyPolicy:
             self._old_tables_cache = (logp, cum, ent)
         return self._old_tables_cache
 
+    def token_states(self, entity_ids, tokens: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """State of each token of concatenated sequences: the row of
+        ``logits.reshape(-1, vocab_size)`` it is drawn from, (entity, previous
+        token).  Sequence ``i`` has ``lengths[i]`` tokens and entity ``entity_ids[i]``."""
+        if len(tokens) and not 0 <= tokens.min() <= tokens.max() < self.lexicon.vocab_size:
+            raise ValueError(f"token ids must be in [0, {self.lexicon.vocab_size})")
+        prevs = np.empty_like(tokens)
+        prevs[1:] = tokens[:-1]
+        prevs[np.cumsum(lengths) - lengths] = BOS
+        ents = np.fromiter((self.entity_index(e) for e in entity_ids), dtype=np.intp,
+                           count=len(lengths))
+        return np.repeat(ents * self.lexicon.vocab_size, lengths) + prevs
+
+    def state_logps(self, states: np.ndarray, tokens: np.ndarray) -> np.ndarray:
+        """Live log-probabilities of ``tokens[i]`` in state ``states[i]``."""
+        table = self.logits.reshape(-1, self.lexicon.vocab_size)
+        out = np.empty(len(tokens))
+        for start in range(0, len(states), _ROW_BLOCK):
+            block = slice(start, start + _ROW_BLOCK)
+            logp = _log_softmax(table[states[block]] / self.temperature)
+            out[block] = logp[np.arange(len(logp)), tokens[block]]
+        return out
+
     def token_logps(self, entity_id: str, tokens: tuple[int, ...]) -> np.ndarray:
         """Per-token log-probabilities of ``tokens`` for this entity's prompt
         under the live parameters."""
-        e = self.entity_index(entity_id)
-        toks = np.asarray(tokens, dtype=int)
-        prevs = np.concatenate(([BOS], toks[:-1]))
-        rows = _log_softmax(self.logits[e, prevs] / self.temperature)
-        return rows[np.arange(len(toks)), toks]
+        toks = np.asarray(tokens, dtype=np.intp)
+        return self.state_logps(self.token_states([entity_id], toks, [len(toks)]), toks)
 
     def new_grad(self) -> np.ndarray:
-        return np.zeros_like(self.logits)
+        return np.zeros(self.logits.shape)
 
     def accumulate_score_grad(
-        self, entity_id: str, tokens: tuple[int, ...], coeff: float, grad: np.ndarray
+        self, states: np.ndarray, tokens: np.ndarray, coeffs: np.ndarray, grad: np.ndarray
     ) -> None:
-        """Add coeff * grad of sum_t log pi(tokens_t | prev_t) into ``grad``."""
-        e = self.entity_index(entity_id)
-        toks = np.asarray(tokens, dtype=int)
-        prevs = np.concatenate(([BOS], toks[:-1]))
-        rows = self.logits[e, prevs] / self.temperature
-        shifted = np.exp(rows - rows.max(axis=-1, keepdims=True))
-        probs = shifted / shifted.sum(axis=-1, keepdims=True)
-        delta = -probs
-        delta[np.arange(len(toks)), toks] += 1.0
-        np.add.at(grad[e], prevs, (coeff / self.temperature) * delta)
+        """Add coeffs[i] * grad of log pi(tokens[i] | states[i]) into ``grad``
+        (from ``new_grad``), row by row in the given order."""
+        table = self.logits.reshape(-1, self.lexicon.vocab_size)
+        flat_grad = grad.reshape(-1, self.lexicon.vocab_size)
+        for start in range(0, len(states), _ROW_BLOCK):
+            block = slice(start, start + _ROW_BLOCK)
+            rows = table[states[block]] / self.temperature
+            shifted = np.exp(rows - rows.max(axis=-1, keepdims=True))
+            delta = -(shifted / shifted.sum(axis=-1, keepdims=True))
+            delta[np.arange(len(delta)), tokens[block]] += 1.0
+            np.add.at(flat_grad, states[block], (coeffs[block] / self.temperature)[:, None] * delta)
 
     def apply_gradient(self, grad: np.ndarray, learning_rate: float) -> None:
         if grad.shape != self.logits.shape:
@@ -391,38 +433,87 @@ class Rollout:
     entropies: np.ndarray
 
 
+def _next_tokens(cum_rows: np.ndarray, u: np.ndarray, vocab_size: int) -> np.ndarray:
+    """Inverse-CDF token choice, one row per sequence.
+
+    Counting the entries ``<= u`` of a non-decreasing row is
+    ``searchsorted(row, u, side="right")``; a ``u`` above the row's last
+    cumulative value (rounding) picks the last token.
+    """
+    return np.minimum(np.count_nonzero(cum_rows <= u[:, None], axis=1), vocab_size - 1)
+
+
+def _sample_batch(policy: ToyPolicy, entity_ids, seeds, max_len: int) -> list[Rollout]:
+    """Sample one rollout per ``(entity_ids[i], seeds[i])`` row, all rows in lockstep.
+
+    Row ``i`` takes its uniforms from ``default_rng(seeds[i])``, one per
+    token, drawn ``_DRAW_BLOCK`` at a time while the row is alive, so its
+    rollout does not depend on the other rows.  Memory grows with the tokens
+    emitted, not with ``max_len``.
+    """
+    if max_len < 1:
+        raise ValueError(f"max_len must be >= 1, got {max_len}")
+    vocab = policy.lexicon.vocab_size
+    logp_table, cum_table, ent_table = policy._old_tables()
+    logp_table, cum_table = logp_table.reshape(-1, vocab), cum_table.reshape(-1, vocab)
+    ent_table = ent_table.reshape(-1)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rows = np.arange(len(rngs))
+    base = vocab * np.fromiter((policy.entity_index(e) for e in entity_ids), dtype=np.intp,
+                               count=len(rngs))
+    states = base + BOS
+    emitted = []  # per position: (rows alive, their tokens, log-probs, entropies)
+    for pos in range(max_len):
+        col = pos % _DRAW_BLOCK
+        if col == 0:
+            draw = min(_DRAW_BLOCK, max_len - pos)
+            u = np.stack([rngs[r].random(draw) for r in rows])
+        toks = _next_tokens(cum_table[states], u[:, col], vocab)
+        emitted.append((rows, toks, logp_table[states, toks], ent_table[states]))
+        alive = toks != EOS
+        if not alive.all():
+            rows, base, toks, u = rows[alive], base[alive], toks[alive], u[alive]
+            if rows.size == 0:
+                break
+        states = base + toks
+
+    row_of, toks_at, logps_at, ents_at = (np.concatenate(part) for part in zip(*emitted))
+    lengths = np.bincount(row_of, minlength=len(rngs))
+    ends = np.cumsum(lengths)
+    # Row r's token at position p goes to (tokens of rows before r) + p.
+    pos_of = np.repeat(np.arange(len(emitted)), [len(part[0]) for part in emitted])
+    dest = (ends - lengths)[row_of] + pos_of
+    toks, logps, ents = (np.empty_like(a) for a in (toks_at, logps_at, ents_at))
+    toks[dest], logps[dest], ents[dest] = toks_at, logps_at, ents_at
+    toks, ends = toks.tolist(), ends.tolist()
+    out, start = [], 0
+    for entity_id, end in zip(entity_ids, ends):
+        tokens = tuple(toks[start:end])
+        out.append(Rollout(entity_id, tokens, logps[start:end],
+                           truncated=tokens[-1] != EOS, entropies=ents[start:end]))
+        start = end
+    return out
+
+
 def sample_rollout(policy: ToyPolicy, entity_id: str, max_len: int, seed) -> Rollout:
     """Sample one response from the policy's frozen snapshot.
 
     Generation starts after BOS, ends at EOS or after ``max_len`` tokens.
     The emitted EOS is part of the sequence and carries a log-probability;
-    a sequence that never emits EOS is marked truncated.  ``seed`` may be
-    an int, a SeedSequence, or a Generator; each token takes one uniform
-    draw from it.  ``old_logp`` and ``entropies`` are read from the
-    snapshot's tables, built once per snapshot.
+    a sequence that never emits EOS is marked truncated.  ``seed`` is an
+    int, a tuple of ints or a SeedSequence; each token takes one uniform
+    draw from ``default_rng(seed)``.  A Generator or BitGenerator is
+    rejected with ``TypeError``: draws are taken in blocks, so a shared
+    generator would advance by more than the tokens sampled.
+    ``old_logp`` and ``entropies`` are read from the snapshot's tables,
+    built once per snapshot.
     """
-    if max_len < 1:
-        raise ValueError(f"max_len must be >= 1, got {max_len}")
-    e = policy.entity_index(entity_id)
-    logp_table, cum_table, ent_table = policy._old_tables()
-    rng = np.random.default_rng(seed)
-
-    tokens: list[int] = []
-    logps: list[float] = []
-    ents: list[float] = []
-    prev = BOS
-    for _ in range(max_len):
-        tok = int(np.searchsorted(cum_table[e, prev], rng.random(), side="right"))
-        tok = min(tok, policy.lexicon.vocab_size - 1)
-        logps.append(float(logp_table[e, prev, tok]))
-        ents.append(float(ent_table[e, prev]))
-        tokens.append(tok)
-        prev = tok
-        if tok == EOS:
-            break
-
-    return Rollout(entity_id, tuple(tokens), np.asarray(logps),
-                   truncated=tokens[-1] != EOS, entropies=np.asarray(ents))
+    seed_types = (int, np.integer, tuple, np.random.SeedSequence)
+    if isinstance(seed, bool) or not isinstance(seed, seed_types):
+        raise TypeError(
+            f"seed must be an int, a tuple or a SeedSequence, got {type(seed).__name__}"
+        )
+    return _sample_batch(policy, [entity_id], [seed], max_len)[0]
 
 
 def render_response(lexicon: SyntheticLexicon, tokens: tuple[int, ...], config: RewardConfig) -> str:
@@ -449,19 +540,23 @@ def toy_reward_config() -> RewardConfig:
 
 
 def _scored_rollouts(
-    policy: ToyPolicy, entity_id: str, key: tuple, n: int, max_len: int,
-    gold: GoldEntitySet, refs: list[int], config: RewardConfig, ablation: str = "full",
+    policy: ToyPolicy, prompts: list[tuple[str, tuple]], n: int, max_len: int,
+    golds: dict, refs: dict, config: RewardConfig, ablation: str = "full",
 ):
-    """Sample ``n`` rollouts for one prompt and score each under ``ablation``.
+    """Sample ``n`` rollouts for each ``(entity_id, key)`` prompt, all in one
+    lockstep batch, and score each under ``ablation``.
 
-    Rollout ``i`` draws from child ``i`` of ``SeedSequence(key)``.  Yields
-    ``(rollout, breakdown, segments)`` in sampling order.
+    Rollout ``i`` of a prompt draws from child ``i`` of ``SeedSequence(key)``.
+    Yields ``(entity_id, rollout, breakdown, segments)`` in prompt order,
+    then sampling order.
     """
-    for child in np.random.SeedSequence(key).spawn(n):
-        ro = sample_rollout(policy, entity_id, max_len, child)
+    entity_ids = [ent_id for ent_id, _ in prompts for _ in range(n)]
+    seeds = [child for _, key in prompts for child in np.random.SeedSequence(key).spawn(n)]
+    for ro in _sample_batch(policy, entity_ids, seeds, max_len):
         raw = render_response(policy.lexicon, ro.tokens, config)
-        breakdown, seg = score_response(raw, gold, refs, config, ablation)
-        yield ro, breakdown, seg
+        ent_id = ro.entity_id
+        breakdown, seg = score_response(raw, golds[ent_id], refs[ent_id], config, ablation)
+        yield ent_id, ro, breakdown, seg
 
 
 def measure_pass_at_k(
@@ -476,17 +571,25 @@ def measure_pass_at_k(
     """Monte Carlo pass@k over entities: n fresh samples each, then the
     unbiased estimator.  A sample counts as correct when its parsed
     translation segment matches a gold alias; gates do not apply.
+    Each entity's ``n`` samples are drawn as one lockstep batch.
 
     Returns the curve and the per-entity correct counts.
     """
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    entity_ids = tuple(entity_ids)
+    if not entity_ids:
+        raise ValueError("no entity ids")
     if config is None:
         config = toy_reward_config()
     lexicon = policy.lexicon
     counts = []
     for e_idx, ent_id in enumerate(entity_ids):
-        scored = _scored_rollouts(policy, ent_id, (seed, _STREAM_EVAL, e_idx), n, max_len,
-                                  lexicon.gold(ent_id), lexicon.ref_lengths(ent_id), config)
-        counts.append(sum(breakdown.match for _, breakdown, _ in scored))
+        scored = _scored_rollouts(
+            policy, [(ent_id, (seed, _STREAM_EVAL, e_idx))], n, max_len,
+            {ent_id: lexicon.gold(ent_id)}, {ent_id: lexicon.ref_lengths(ent_id)}, config,
+        )
+        counts.append(sum(breakdown.match for _, _, breakdown, _ in scored))
     curve = pass_at_k_curve(PassAtKInput(n=n, counts=tuple(counts), ks=tuple(ks)))
     return curve, tuple(counts)
 
@@ -686,7 +789,8 @@ def train(
 
     Each outer step freezes a snapshot, samples ``mini_batch_size *
     updates_per_batch`` prompts from the train split with ``group_size``
-    rollouts each, scores them under the selected ablation, and hands the
+    rollouts each, all ``B * G`` rollouts in one lockstep batch, scores
+    them under the selected ablation, and hands the
     groups to ``policy_update_step``, which normalizes rewards within each
     group and applies the mini-batch update passes.
     Metrics row ``s`` describes the rollouts sampled at step ``s`` before
@@ -718,17 +822,15 @@ def train(
         )
         batch = prompt_rng.choice(train_ids, size=batch_size, replace=True)
 
-        groups: list[RolloutGroup] = []
-        scored: list[tuple] = []
-        for p_idx, ent_id in enumerate(batch):
-            ent_id = str(ent_id)
-            members: list[GroupMember] = []
-            for ro, breakdown, seg in _scored_rollouts(
-                policy, ent_id, (seed, _STREAM_ROLLOUT, step, p_idx), optim_cfg.group_size,
-                max_len, golds[ent_id], refs[ent_id], reward_cfg, ablation,
-            ):
-                members.append(GroupMember(ro.tokens, ro.old_logp, breakdown.reward))
-                scored.append((ent_id, ro, breakdown, seg))
+        size = optim_cfg.group_size
+        prompts = [(str(ent_id), (seed, _STREAM_ROLLOUT, step, p_idx))
+                   for p_idx, ent_id in enumerate(batch)]
+        scored = list(_scored_rollouts(policy, prompts, size, max_len, golds, refs,
+                                       reward_cfg, ablation))
+        groups = []
+        for p_idx, (ent_id, _) in enumerate(prompts):
+            members = [GroupMember(ro.tokens, ro.old_logp, breakdown.reward)
+                       for _, ro, breakdown, _ in scored[p_idx * size:(p_idx + 1) * size]]
             groups.append(RolloutGroup(ent_id, members, policy.snapshot_version))
 
         metrics.append(_metrics_row(step, scored))

@@ -405,6 +405,16 @@ class TestTrainCommand:
         assert code == 1
         assert "bad optim config" in capsys.readouterr().err
 
+    def test_zero_max_len_rejected_before_prior(self, tmp_path, capsys, monkeypatch):
+        task = tmp_path / "task"
+        assert main(["gen", "--seed", "42", "--out", str(task)]) == 0
+        monkeypatch.setattr("entrl.cli.init_activation_prior", lambda *a, **k: pytest.fail("prior built"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"train": {"max_len": 0}}')
+        code = main(["train", "--config", str(cfg), "--lexicon", str(task / "lexicon.json"), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "max_len must be >= 1" in capsys.readouterr().err
+
     def test_non_finite_temperature_reported(self, tmp_path, capsys):
         task = tmp_path / "task"
         assert main(["gen", "--seed", "42", "--out", str(task)]) == 0

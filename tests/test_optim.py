@@ -134,6 +134,14 @@ class TestBoundaryValidation:
             entry(policy, [_one_member_group(policy, (6, 7), [-1.0])])
 
     @pytest.mark.parametrize("entry", ENTRY_POINTS, ids=ENTRY_IDS)
+    @pytest.mark.parametrize("tokens", [(10,), (-1,), (3, 12, 1)])
+    def test_rejects_token_outside_vocabulary(self, entry, tokens):
+        # A token id past the vocabulary would read another entity's row.
+        policy, _ = build_fixture(seed=0)
+        with pytest.raises(ValueError, match="token ids"):
+            entry(policy, [_one_member_group(policy, tokens, [-1.0] * len(tokens))])
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS, ids=ENTRY_IDS)
     @pytest.mark.parametrize("reward", [float("nan"), float("inf")])
     def test_rejects_non_finite_reward(self, entry, reward):
         policy, _ = build_fixture(seed=0)

@@ -258,6 +258,24 @@ class TestSampleRollout:
         with pytest.raises(ValueError):
             sample_rollout(small_policy(), LEX.entities[0].entity_id, max_len=0, seed=0)
 
+    @pytest.mark.parametrize(
+        "seed", [np.random.default_rng(0), np.random.PCG64(0), None, True, 1.5]
+    )
+    def test_rejects_seeds_that_are_not_int_tuple_or_seed_sequence(self, seed):
+        # Uniforms are drawn in blocks, so a shared generator would advance
+        # by more than the tokens sampled and change the caller's next draw.
+        with pytest.raises(TypeError, match="seed must be"):
+            sample_rollout(small_policy(), LEX.entities[0].entity_id, max_len=12, seed=seed)
+
+    def test_accepts_int_tuple_and_seed_sequence(self):
+        policy = small_policy()
+        ent = LEX.entities[0].entity_id
+        a = sample_rollout(policy, ent, max_len=12, seed=np.random.SeedSequence((3, 1)))
+        b = sample_rollout(policy, ent, max_len=12, seed=(3, 1))
+        c = sample_rollout(policy, ent, max_len=12, seed=np.int64(3))
+        assert a.tokens == b.tokens
+        assert c.tokens == sample_rollout(policy, ent, max_len=12, seed=3).tokens
+
 
 class TestRenderResponse:
     def test_markers_and_spacing(self):
@@ -302,6 +320,70 @@ class TestMeasurePassAtK:
         a = measure_pass_at_k(policy, ids, n=16, ks=(1,), seed=4)
         b = measure_pass_at_k(policy, ids, n=16, ks=(1,), seed=4)
         assert a == b
+
+    @pytest.mark.parametrize("kwargs", [
+        {"n": 0},
+        {"n": -1},
+        {"n": 2.0},
+        {"n": True},
+        {"entity_ids": ()},
+    ])
+    def test_rejects_bad_values(self, kwargs, monkeypatch):
+        # Rejected before any rollout is sampled.
+        import entrl.toytask as toytask
+
+        def no_sampling(*args, **kw):
+            raise AssertionError("sampled before rejecting")
+
+        monkeypatch.setattr(toytask, "_sample_batch", no_sampling)
+        args = {"entity_ids": LEX.train_ids[:2], "n": 8, **kwargs}
+        with pytest.raises(ValueError):
+            measure_pass_at_k(small_policy(), ks=(1,), seed=0, **args)
+
+    def test_memory_grows_with_tokens_emitted_not_max_len(self):
+        # The prior's rollouts end at EOS within a few tokens; a sampler that
+        # sized its buffers by rows x max_len would need ~40 GB here.
+        import tracemalloc
+
+        policy = prior_policy()
+        tracemalloc.start()
+        try:
+            curve, counts = measure_pass_at_k(policy, LEX.train_ids[:2], n=64, ks=(1,),
+                                              seed=3, max_len=10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(counts) == 2
+        assert peak < 4 * 2**20
+
+
+class TestPolicyConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"max_len": 0},
+        {"max_len": True},
+        {"max_len": 2.5},
+        {"eval_samples": -1},
+        {"eval_samples": 0},
+        {"eval_samples": 64.0},
+        {"k_high": 0},
+        {"k_high": False},
+        {"k_high": 512},
+        {"max_attempts": 0},
+        {"max_attempts": True},
+        {"pass64_floor": float("nan")},
+        {"pass64_floor": float("inf")},
+        {"pass64_floor": -0.1},
+        {"pass64_floor": 1.5},
+        {"pass64_floor": True},
+    ])
+    def test_rejects_bad_values(self, kwargs):
+        with pytest.raises(ValueError):
+            PolicyConfig(**kwargs)
+
+    def test_edge_values_allowed(self):
+        cfg = PolicyConfig(max_len=1, eval_samples=64, k_high=64, pass64_floor=1.0, max_attempts=1)
+        assert cfg.k_high == cfg.eval_samples
+        assert PolicyConfig(pass64_floor=0.0, max_len=np.int64(3)).pass64_floor == 0.0
 
 
 class TestPriorStructure:
