@@ -41,7 +41,7 @@ for step in (0, 100, 200, 300, 399):
 curve, _ = measure_pass_at_k(result.policy, lexicon.train_ids, n=256, ks=(1, 64), seed=99)
 print(f"\nfinal:   pass@1={curve.estimates[0]:.3f}  pass@64={curve.estimates[1]:.3f}")
 
-lengths = [r.len_gate for r in result.final_rollouts]
+lengths = [r.breakdown.len_gate for r in result.final_rollouts]
 print(f"final rollouts passing the length gate: {np.mean(lengths):.0%}")
 # Longer budgets finish the job: 600 steps at this learning rate measure
 # pass@1 around 0.95 on this seed.  Removing the length gate instead sends

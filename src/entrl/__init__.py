@@ -45,7 +45,6 @@ from .reward import (
     ABLATIONS,
     RewardBreakdown,
     RewardConfig,
-    ResponseSegments,
     compute_reward,
     length_gate,
     parse_segments,
@@ -63,15 +62,10 @@ from .scoring import (
 )
 from .textnorm import GoldEntitySet, match_entity, normalize
 from .toytask import (
-    Entity,
     PolicyConfig,
     PriorStructure,
-    Rollout,
-    RolloutScore,
     SyntheticLexicon,
     ToyPolicy,
-    TrainMetricsRow,
-    TrainResult,
     gen_lexicon,
     init_activation_prior,
     load_policy,
@@ -88,7 +82,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ABLATIONS",
-    "Entity",
     "GoldEntitySet",
     "GroupMember",
     "OptimConfig",
@@ -100,15 +93,10 @@ __all__ = [
     "RewardBreakdown",
     "RewardConfig",
     "RewardService",
-    "ResponseSegments",
-    "Rollout",
     "RolloutGroup",
-    "RolloutScore",
     "ScoreSummary",
     "SyntheticLexicon",
     "ToyPolicy",
-    "TrainMetricsRow",
-    "TrainResult",
     "chrf",
     "clipped_term",
     "compute_reward",

@@ -15,10 +15,11 @@ import os
 import sys
 from pathlib import Path
 
-from .evalkit import PassAtKInput, pass_at_k_curve
+from .evalkit import PassAtKInput, _is_int, pass_at_k_curve
 from .optim import OptimConfig
 from .reward import ABLATIONS, RewardConfig
-from .scoring import RewardService, _encode_reply, score_lines, serve_stdio, summarize
+from .scoring import (RecordError, RewardService, _encode_reply, decode_line, score_lines,
+                      serve_stdio, summarize)
 from .toytask import (
     PolicyConfig,
     SyntheticLexicon,
@@ -167,14 +168,14 @@ def cmd_passk(args: argparse.Namespace) -> int:
         with open(args.input, "rb") as lines:
             for lineno, raw in enumerate(lines, start=1):
                 try:
-                    obj = json.loads(raw.removesuffix(b"\n").decode("utf-8"))
-                except (ValueError, RecursionError) as exc:  # also bad UTF-8, int digit limit
+                    obj = decode_line(raw.removesuffix(b"\n"))
+                except RecordError as exc:
                     raise CliError(f"line {lineno}: {exc}") from None
-                if not isinstance(obj, dict) or "n" not in obj:
+                if "n" not in obj:
                     raise CliError(f"line {lineno}: expected an object with n and c")
                 c = obj.get("c", obj.get("correct_count"))
                 n = obj["n"]
-                if any(not isinstance(v, int) or isinstance(v, bool) for v in (n, c)):
+                if not (_is_int(n) and _is_int(c)):
                     raise CliError(f"line {lineno}: n and c must be integers")
                 if n_seen is None:
                     n_seen = n

@@ -8,6 +8,7 @@ across n-gram orders first and combined into a single F-beta at the end.
 
 from __future__ import annotations
 
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -22,6 +23,11 @@ __all__ = [
     "entity_accuracy",
     "chrf",
 ]
+
+
+def _is_int(value) -> bool:
+    """An integer of any integral type (numpy's included); a boolean is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def pass_at_k_single(n: int, c: int, k: int) -> float:
@@ -66,7 +72,8 @@ class PassAtKInput:
     """Per-problem correct counts from a fixed sampling budget.
 
     ``ks`` is stored sorted and deduplicated; every k must be in [1, n] and
-    every count in [0, n].
+    every count in [0, n].  ``n``, the counts and the ks must be integers,
+    not booleans.
     """
 
     n: int
@@ -75,6 +82,9 @@ class PassAtKInput:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "counts", tuple(self.counts))
+        not_ints = [v for v in (self.n, *self.counts, *self.ks) if not _is_int(v)]
+        if not_ints:
+            raise ValueError(f"n, counts and ks must be integers, got {not_ints!r}")
         object.__setattr__(self, "ks", tuple(sorted(set(self.ks))))
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import json
 import socketserver
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .evalkit import entity_accuracy
-from .reward import RewardBreakdown, RewardConfig, compute_reward
+from .reward import RewardBreakdown, RewardConfig, _measured_length, compute_reward
 from .textnorm import GoldEntitySet
 
 __all__ = [
@@ -77,10 +77,7 @@ def _ref_lengths_from(record: dict, config: RewardConfig) -> list[int]:
     refs = record["refs"]
     if not isinstance(refs, list) or not refs or not all(isinstance(r, str) for r in refs):
         raise RecordError("refs must be a non-empty list of strings")
-    if config.length_unit == "tokens":
-        lengths = [len(r.split()) for r in refs]
-    else:
-        lengths = [len(r) for r in refs]
+    lengths = [_measured_length(r, config.length_unit) for r in refs]
     if any(n <= 0 for n in lengths):
         raise RecordError("a reference has zero length")
     return lengths
@@ -123,12 +120,7 @@ class ScoreSummary:
     gate_failure_counts: dict
 
     def to_dict(self) -> dict:
-        return {
-            "n_records": self.n_records,
-            "entity_accuracy_pct": self.entity_accuracy_pct,
-            "mean_reward": self.mean_reward,
-            "gate_failure_counts": dict(self.gate_failure_counts),
-        }
+        return asdict(self)
 
 
 def summarize(breakdowns: list[RewardBreakdown]) -> ScoreSummary:

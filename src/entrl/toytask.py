@@ -20,15 +20,15 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .evalkit import PassAtKCurve, PassAtKInput, pass_at_k_curve
+from .evalkit import PassAtKCurve, PassAtKInput, _is_int, pass_at_k_curve
 from .optim import GroupMember, OptimConfig, RolloutGroup, policy_update_step
-from .reward import RewardConfig, score_response
-from .textnorm import GoldEntitySet, normalize
+from .reward import RewardBreakdown, RewardConfig, _measured_length, score_response
+from .textnorm import GoldEntitySet
 
 __all__ = [
     "BOS",
@@ -44,13 +44,13 @@ __all__ = [
     "PolicyConfig",
     "ToyPolicy",
     "Rollout",
+    "RolloutScore",
     "sample_rollout",
     "render_response",
     "toy_reward_config",
     "init_activation_prior",
     "measure_pass_at_k",
     "TrainMetricsRow",
-    "RolloutScore",
     "TrainResult",
     "train",
     "metrics_to_csv",
@@ -293,7 +293,7 @@ class PolicyConfig:
     def __post_init__(self) -> None:
         for name in ("max_len", "eval_samples", "k_high", "max_attempts"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            if not _is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
@@ -332,7 +332,7 @@ class ToyPolicy:
         expected = (len(lexicon.entities), lexicon.vocab_size, lexicon.vocab_size)
         if logits.shape != expected:
             raise ValueError(f"logits shape {logits.shape} != {expected}")
-        if not 0.0 < temperature < np.inf:
+        if isinstance(temperature, bool) or not 0.0 < temperature < np.inf:
             raise ValueError(f"temperature must be finite and > 0, got {temperature}")
         self.lexicon = lexicon
         self.logits = logits
@@ -431,6 +431,20 @@ class Rollout:
     old_logp: np.ndarray
     truncated: bool
     entropies: np.ndarray
+
+
+@dataclass(slots=True)
+class RolloutScore:
+    """One scored rollout: the sample, its reward breakdown, and the token
+    count of its translation segment (0 when the format gate fails)."""
+
+    rollout: Rollout
+    breakdown: RewardBreakdown
+    trans_len: int
+
+    @property
+    def entity_id(self) -> str:
+        return self.rollout.entity_id
 
 
 def _next_tokens(cum_rows: np.ndarray, u: np.ndarray, vocab_size: int) -> np.ndarray:
@@ -542,21 +556,22 @@ def toy_reward_config() -> RewardConfig:
 def _scored_rollouts(
     policy: ToyPolicy, prompts: list[tuple[str, tuple]], n: int, max_len: int,
     golds: dict, refs: dict, config: RewardConfig, ablation: str = "full",
-):
+) -> list[RolloutScore]:
     """Sample ``n`` rollouts for each ``(entity_id, key)`` prompt, all in one
     lockstep batch, and score each under ``ablation``.
 
     Rollout ``i`` of a prompt draws from child ``i`` of ``SeedSequence(key)``.
-    Yields ``(entity_id, rollout, breakdown, segments)`` in prompt order,
-    then sampling order.
+    Returns the scores in prompt order, then sampling order.
     """
     entity_ids = [ent_id for ent_id, _ in prompts for _ in range(n)]
     seeds = [child for _, key in prompts for child in np.random.SeedSequence(key).spawn(n)]
+    scored = []
     for ro in _sample_batch(policy, entity_ids, seeds, max_len):
         raw = render_response(policy.lexicon, ro.tokens, config)
         ent_id = ro.entity_id
         breakdown, seg = score_response(raw, golds[ent_id], refs[ent_id], config, ablation)
-        yield ent_id, ro, breakdown, seg
+        scored.append(RolloutScore(ro, breakdown, _measured_length(seg.trans, "tokens")))
+    return scored
 
 
 def measure_pass_at_k(
@@ -575,7 +590,7 @@ def measure_pass_at_k(
 
     Returns the curve and the per-entity correct counts.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     entity_ids = tuple(entity_ids)
     if not entity_ids:
@@ -589,7 +604,7 @@ def measure_pass_at_k(
             policy, [(ent_id, (seed, _STREAM_EVAL, e_idx))], n, max_len,
             {ent_id: lexicon.gold(ent_id)}, {ent_id: lexicon.ref_lengths(ent_id)}, config,
         )
-        counts.append(sum(breakdown.match for _, _, breakdown, _ in scored))
+        counts.append(sum(s.breakdown.match for s in scored))
     curve = pass_at_k_curve(PassAtKInput(n=n, counts=tuple(counts), ks=tuple(ks)))
     return curve, tuple(counts)
 
@@ -725,20 +740,6 @@ class TrainMetricsRow:
     pass1_eval: float
 
 
-@dataclass(frozen=True)
-class RolloutScore:
-    """Scored final-step rollout, kept for post-run analysis."""
-
-    entity_id: str
-    fmt_gate: int
-    len_gate: int
-    match: int
-    reward: float
-    trans_len: int
-    alias_occurrences: int
-    truncated: bool
-
-
 @dataclass
 class TrainResult:
     policy: ToyPolicy
@@ -746,25 +747,20 @@ class TrainResult:
     final_rollouts: list[RolloutScore]
 
 
-def _alias_occurrences(trans: str, gold: GoldEntitySet) -> int:
-    normed = normalize(trans)
-    return sum(normed.count(a) for a in gold.normalized_aliases)
-
-
-def _metrics_row(step: int, scored: list) -> TrainMetricsRow:
-    """Step metrics from ``(entity_id, rollout, breakdown, segments)`` tuples.
+def _metrics_row(step: int, scored: list[RolloutScore]) -> TrainMetricsRow:
+    """Step metrics from the step's scored rollouts.
 
     The sums run in sampling order with plain float addition, so each
     column is a fixed function of the rollouts, bit for bit.
     """
     reward_sum = entropy_sum = 0.0
     trans_len_sum = match_sum = token_count = 0
-    for _, ro, breakdown, seg in scored:
-        reward_sum += breakdown.reward
-        trans_len_sum += len(seg.trans.split())
-        match_sum += breakdown.match
-        entropy_sum += float(ro.entropies.sum())
-        token_count += len(ro.tokens)
+    for s in scored:
+        reward_sum += s.breakdown.reward
+        trans_len_sum += s.trans_len
+        match_sum += s.breakdown.match
+        entropy_sum += float(s.rollout.entropies.sum())
+        token_count += len(s.rollout.tokens)
     n = len(scored)
     return TrainMetricsRow(
         step=step,
@@ -795,16 +791,15 @@ def train(
     group and applies the mini-batch update passes.
     Metrics row ``s`` describes the rollouts sampled at step ``s`` before
     that step's update; ``steps=0`` emits a single measurement-only row.
-    ``final_rollouts`` scores the last step's rollouts, built once after
-    the loop.
+    ``final_rollouts`` is the last step's list of scored rollouts.
 
     Every random choice derives from ``seed`` through tagged substreams,
     so identical calls produce identical metrics and parameters.
     """
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
+    if not _is_int(steps) or steps < 0:
+        raise ValueError(f"steps must be an integer >= 0, got {steps!r}")
+    if not _is_int(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if not lexicon.train_ids:
         raise ValueError("lexicon has no train entities")
 
@@ -825,12 +820,12 @@ def train(
         size = optim_cfg.group_size
         prompts = [(str(ent_id), (seed, _STREAM_ROLLOUT, step, p_idx))
                    for p_idx, ent_id in enumerate(batch)]
-        scored = list(_scored_rollouts(policy, prompts, size, max_len, golds, refs,
-                                       reward_cfg, ablation))
+        scored = _scored_rollouts(policy, prompts, size, max_len, golds, refs,
+                                  reward_cfg, ablation)
         groups = []
         for p_idx, (ent_id, _) in enumerate(prompts):
-            members = [GroupMember(ro.tokens, ro.old_logp, breakdown.reward)
-                       for _, ro, breakdown, _ in scored[p_idx * size:(p_idx + 1) * size]]
+            members = [GroupMember(s.rollout.tokens, s.rollout.old_logp, s.breakdown.reward)
+                       for s in scored[p_idx * size:(p_idx + 1) * size]]
             groups.append(RolloutGroup(ent_id, members, policy.snapshot_version))
 
         metrics.append(_metrics_row(step, scored))
@@ -840,31 +835,15 @@ def train(
             )
             policy_update_step(policy, groups, optim_cfg, rng=shuffle_rng)
 
-    final_rollouts = [
-        RolloutScore(
-            entity_id=ent_id,
-            fmt_gate=breakdown.fmt_gate,
-            len_gate=breakdown.len_gate,
-            match=breakdown.match,
-            reward=breakdown.reward,
-            trans_len=len(seg.trans.split()),
-            alias_occurrences=_alias_occurrences(seg.trans, golds[ent_id]),
-            truncated=ro.truncated,
-        )
-        for ent_id, ro, breakdown, seg in scored
-    ]
-    return TrainResult(policy=policy, metrics=metrics, final_rollouts=final_rollouts)
+    return TrainResult(policy=policy, metrics=metrics, final_rollouts=scored)
 
 
 def metrics_to_csv(rows: list[TrainMetricsRow], path: str | Path) -> None:
     """Write metrics rows as CSV with a header, one row per step."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["step", "mean_reward", "mean_trans_length", "mean_entropy", "pass1_eval"])
-        for row in rows:
-            writer.writerow(
-                [row.step, row.mean_reward, row.mean_trans_length, row.mean_entropy, row.pass1_eval]
-            )
+        writer.writerow(f.name for f in fields(TrainMetricsRow))
+        writer.writerows(map(astuple, rows))
 
 
 def _lexicon_digest(lexicon: SyntheticLexicon) -> str:

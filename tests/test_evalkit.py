@@ -120,6 +120,12 @@ class TestPassAtKCurve:
         {"n": 4, "counts": (2,), "ks": ()},
         {"n": 4, "counts": (2,), "ks": (5,)},
         {"n": 4, "counts": (2,), "ks": (0,)},
+        {"n": 4.5, "counts": (1,), "ks": (1,)},
+        {"n": True, "counts": (1,), "ks": (1,)},
+        {"n": 4, "counts": (1.0,), "ks": (1,)},
+        {"n": 4, "counts": (True,), "ks": (1,)},
+        {"n": 4, "counts": (1,), "ks": (2.0,)},
+        {"n": 4, "counts": (1,), "ks": (True,)},
     ])
     def test_rejects_bad_input(self, kwargs):
         with pytest.raises(ValueError):

@@ -195,7 +195,7 @@ class TestToyPolicy:
     def test_n_params(self):
         assert small_policy().n_params == 6 * 32 * 32
 
-    @pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan"), float("inf"), True])
     def test_temperature_validation(self, temperature):
         with pytest.raises(ValueError, match="temperature"):
             ToyPolicy(LEX, np.zeros((6, 32, 32)), temperature=temperature)
@@ -476,6 +476,9 @@ class TestTrain:
             train(LEX, small_policy(), toy_reward_config(), SMALL_OPTIM, steps=-1)
         with pytest.raises(ValueError):
             train(LEX, small_policy(), toy_reward_config(), SMALL_OPTIM, steps=1, seed=-1)
+        for kwargs in ({"steps": True}, {"steps": 1.5}, {"steps": 1, "seed": True}):
+            with pytest.raises(ValueError, match="integer"):
+                train(LEX, small_policy(), toy_reward_config(), SMALL_OPTIM, **kwargs)
         with pytest.raises(ValueError, match="unknown ablation"):
             train(
                 LEX, small_policy(), toy_reward_config(), SMALL_OPTIM,
@@ -494,14 +497,25 @@ class TestTrain:
         assert a.metrics[0].mean_entropy == b.metrics[0].mean_entropy
         for ra, rb in zip(a.final_rollouts, b.final_rollouts):
             assert ra.trans_len == rb.trans_len
-            assert rb.len_gate == (1 if rb.fmt_gate else 0)
+            assert rb.breakdown.len_gate == (1 if rb.breakdown.fmt_gate else 0)
 
     def test_final_rollout_scores_consistent(self):
         res = train(LEX, small_policy(), toy_reward_config(), SMALL_OPTIM, steps=2, seed=4)
         for score in res.final_rollouts:
-            expected = score.fmt_gate * score.len_gate * (0.2 + score.match)
-            assert score.reward == pytest.approx(expected)
-            assert score.alias_occurrences >= score.match
+            b = score.breakdown
+            assert b.reward == pytest.approx(b.fmt_gate * b.len_gate * (0.2 + b.match))
+
+    def test_final_rollouts_agree_with_last_metrics_row(self):
+        res = train(LEX, prior_policy(), toy_reward_config(), SMALL_OPTIM, steps=2, seed=5)
+        final = res.final_rollouts
+        assert len(final) == 2 * 2 * 4
+        # Same sums in the same order as the metrics row, so equal exactly.
+        trans_len_sum, reward_sum = 0, 0.0
+        for score in final:
+            trans_len_sum += score.trans_len
+            reward_sum += score.breakdown.reward
+        assert trans_len_sum / len(final) == res.metrics[-1].mean_trans_length
+        assert reward_sum / len(final) == res.metrics[-1].mean_reward
 
 
 class TestMetricsCsv:
