@@ -246,8 +246,11 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def _train_value(section: dict, key: str, default, kinds):
     """``section[key]`` (or ``default``) if it is an instance of ``kinds`` and not a bool."""
     value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise TypeError(f"{key} must be {'an integer' if kinds is int else 'a number'}, got {value!r}")
+    if kinds is int:
+        if not _is_int(value):
+            raise TypeError(f"{key} must be an integer, got {value!r}")
+    elif isinstance(value, bool) or not isinstance(value, kinds):
+        raise TypeError(f"{key} must be a number, got {value!r}")
     return value
 
 
@@ -273,7 +276,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise CliError("no lexicon: pass --lexicon or set train.lexicon in the config")
     try:
         lexicon = SyntheticLexicon.load(lexicon_path)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise CliError(f"cannot load lexicon {lexicon_path!r}: {exc}") from None
 
     try:

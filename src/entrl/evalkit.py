@@ -27,7 +27,9 @@ __all__ = [
 
 def _is_int(value) -> bool:
     """An integer of any integral type (numpy's included); a boolean is not one."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    # A plain int is tested first: the ABC check takes ~0.9 us a call against
+    # ~0.1 us, and the scorer runs this on every ref_lengths entry.
+    return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def pass_at_k_single(n: int, c: int, k: int) -> float:
@@ -44,12 +46,15 @@ def pass_at_k_single(n: int, c: int, k: int) -> float:
         n: number of samples drawn for the problem, n >= 1.
         c: number of correct samples, 0 <= c <= n.
         k: the k of pass@k, 1 <= k <= n.
+        All three are integers, not booleans.
 
     Returns:
         The estimate in [0, 1].  When n - c < k every size-k subset of the
         n samples contains a correct one, so the estimator returns exactly
         1.0; when c == 0 it returns exactly 0.0.
     """
+    if not all(map(_is_int, (n, c, k))):
+        raise ValueError(f"n, c and k must be integers, got {(n, c, k)!r}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0 <= c <= n:

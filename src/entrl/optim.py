@@ -42,6 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .evalkit import _is_int
+
 __all__ = [
     "OptimConfig",
     "GroupMember",
@@ -75,7 +77,7 @@ class OptimConfig:
     def __post_init__(self) -> None:
         for name in ("group_size", "mini_batch_size", "updates_per_batch"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            if not _is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.group_size < 2:
             raise ValueError(f"group_size must be >= 2, got {self.group_size}")

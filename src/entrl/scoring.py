@@ -15,7 +15,7 @@ import json
 import socketserver
 from dataclasses import asdict, dataclass
 
-from .evalkit import entity_accuracy
+from .evalkit import _is_int, entity_accuracy
 from .reward import RewardBreakdown, RewardConfig, _measured_length, compute_reward
 from .textnorm import GoldEntitySet
 
@@ -70,8 +70,7 @@ def _ref_lengths_from(record: dict, config: RewardConfig) -> list[int]:
         lengths = record["ref_lengths"]
         if not isinstance(lengths, list) or not lengths:
             raise RecordError("ref_lengths must be a non-empty list")
-        if not all(isinstance(n, int) and not isinstance(n, bool) and 0 < n <= MAX_REF_LENGTH
-                   for n in lengths):
+        if not all(_is_int(n) and 0 < n <= MAX_REF_LENGTH for n in lengths):
             raise RecordError(f"ref_lengths must be integers in [1, {MAX_REF_LENGTH}]")
         return lengths
     refs = record["refs"]

@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -98,11 +98,17 @@ class SyntheticLexicon:
     entities: tuple[Entity, ...]
     train_ids: tuple[str, ...]
     test_ids: tuple[str, ...]
+    index: dict[str, int] = field(init=False, compare=False, repr=False)
+    golds: tuple[GoldEntitySet, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        if not _is_int(self.vocab_size):
+            raise ValueError(f"vocab_size must be an integer, got {self.vocab_size!r}")
         if self.vocab_size <= FILLER + 1:
             raise ValueError(f"vocab_size {self.vocab_size} leaves no alias tokens")
         ids = [e.entity_id for e in self.entities]
+        if not all(isinstance(i, str) for i in (*ids, *self.train_ids, *self.test_ids)):
+            raise ValueError("entity ids must be strings")
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate entity ids")
         if set(self.train_ids) & set(self.test_ids):
@@ -110,17 +116,26 @@ class SyntheticLexicon:
         if set(self.train_ids) | set(self.test_ids) != set(ids):
             raise ValueError("splits do not cover the entity set")
         for ent in self.entities:
+            tokens = (ent.source_token, *ent.canonical_ref, *(t for a in ent.aliases for t in a))
+            if not all(map(_is_int, tokens)):
+                raise ValueError(f"{ent.entity_id}: token ids must be integers")
             for alias in ent.aliases:
                 if not alias:
                     raise ValueError(f"{ent.entity_id}: empty alias")
                 if any(t <= FILLER or t >= self.vocab_size for t in alias):
                     raise ValueError(f"{ent.entity_id}: alias uses reserved tokens")
+        object.__setattr__(self, "index", {e_id: i for i, e_id in enumerate(ids)})
+        object.__setattr__(self, "golds", tuple(GoldEntitySet(
+            e.entity_id, tuple(map(self.alias_text, e.aliases))) for e in self.entities))
+
+    def entity_index(self, entity_id: str) -> int:
+        try:
+            return self.index[entity_id]
+        except KeyError:
+            raise ValueError(f"unknown entity_id {entity_id!r}") from None
 
     def entity(self, entity_id: str) -> Entity:
-        for ent in self.entities:
-            if ent.entity_id == entity_id:
-                return ent
-        raise ValueError(f"unknown entity_id {entity_id!r}")
+        return self.entities[self.entity_index(entity_id)]
 
     def token_text(self, token: int) -> str:
         width = len(str(self.vocab_size - 1))
@@ -130,8 +145,7 @@ class SyntheticLexicon:
         return " ".join(self.token_text(t) for t in alias)
 
     def gold(self, entity_id: str) -> GoldEntitySet:
-        ent = self.entity(entity_id)
-        return GoldEntitySet(entity_id, tuple(self.alias_text(a) for a in ent.aliases))
+        return self.golds[self.entity_index(entity_id)]
 
     def ref_lengths(self, entity_id: str) -> list[int]:
         return [len(self.entity(entity_id).canonical_ref)]
@@ -162,20 +176,25 @@ class SyntheticLexicon:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SyntheticLexicon":
-        entities = tuple(
-            Entity(
-                entity_id=e["entity_id"],
-                source_token=int(e["source_token"]),
-                aliases=tuple(tuple(int(t) for t in a) for a in e["aliases"]),
-                canonical_ref=tuple(int(t) for t in e["canonical_ref"]),
-            )
-            for e in doc["entities"]
-        )
+        """Inverse of ``to_dict``.  Lists become tuples and nothing is
+        coerced, so a loaded lexicon is checked as a built one is; a document
+        of the wrong shape raises ``ValueError``."""
+        entities = []
+        for e in _doc_value(doc, "entities", list):
+            aliases = _doc_value(e, "aliases", list)
+            if not all(isinstance(a, list) for a in aliases):
+                raise ValueError("lexicon document: each alias must be a list")
+            entities.append(Entity(
+                entity_id=_doc_value(e, "entity_id"),
+                source_token=_doc_value(e, "source_token"),
+                aliases=tuple(map(tuple, aliases)),
+                canonical_ref=tuple(_doc_value(e, "canonical_ref", list)),
+            ))
         return cls(
-            vocab_size=int(doc["vocab_size"]),
-            entities=entities,
-            train_ids=tuple(doc["train_ids"]),
-            test_ids=tuple(doc["test_ids"]),
+            vocab_size=_doc_value(doc, "vocab_size"),
+            entities=tuple(entities),
+            train_ids=tuple(_doc_value(doc, "train_ids", list)),
+            test_ids=tuple(_doc_value(doc, "test_ids", list)),
         )
 
     def save(self, path: str | Path) -> None:
@@ -183,7 +202,22 @@ class SyntheticLexicon:
 
     @classmethod
     def load(cls, path: str | Path) -> "SyntheticLexicon":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        try:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        except RecursionError:
+            raise ValueError("invalid JSON: nested too deeply") from None
+        return cls.from_dict(doc)
+
+
+def _doc_value(doc, key: str, kind: type = object):
+    """``doc[key]`` of a lexicon document, where ``doc`` must be an object
+    holding ``key`` and the value an instance of ``kind``."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ValueError(f"lexicon document: expected an object with key {key!r}")
+    if not isinstance(doc[key], kind):
+        raise ValueError(f"lexicon document: {key} must be a {kind.__name__}, "
+                         f"got {type(doc[key]).__name__}")
+    return doc[key]
 
 
 def _contains_run(hay: tuple[int, ...], needle: tuple[int, ...]) -> bool:
@@ -212,15 +246,21 @@ def gen_lexicon(
     alias to form the canonical reference; (0, 0) makes the length bound
     tau * mean reference length as tight as the alias itself.
     """
+    for name, value in (("seed", seed), ("n_entities", n_entities),
+                        ("aliases_per_entity", aliases_per_entity), ("vocab_size", vocab_size)):
+        if not _is_int(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if seed < 0:
         raise ValueError("seed must be non-negative")
     if n_entities < 2:
         raise ValueError("need at least 2 entities to split")
+    if aliases_per_entity < 1:
+        raise ValueError(f"aliases_per_entity must be >= 1, got {aliases_per_entity}")
     lo, hi = alias_len_range
-    if not 1 <= lo <= hi:
+    if not (_is_int(lo) and _is_int(hi) and 1 <= lo <= hi):
         raise ValueError(f"bad alias_len_range {alias_len_range!r}")
     pad_lo, pad_hi = ref_pad_range
-    if not 0 <= pad_lo <= pad_hi:
+    if not (_is_int(pad_lo) and _is_int(pad_hi) and 0 <= pad_lo <= pad_hi):
         raise ValueError(f"bad ref_pad_range {ref_pad_range!r}")
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
@@ -306,7 +346,10 @@ class PolicyConfig:
 
 
 # Rows of the live logits gathered at once by the update; bounds its
-# temporaries to a few hundred kB whatever the batch size.
+# temporaries to a few hundred kB whatever the batch size.  Gathering a
+# whole mini-batch at once gives the same results but is slower: 10 s
+# `perfbench/run.py --workload train` runs read latency_ms_p50 41.9-42.7 ms
+# against 39.7-40.9 ms, 4 of 4 alternating pairs on a 2-vCPU VM.
 _ROW_BLOCK = 256
 # Uniforms each lockstep sampling row draws at a time.
 _DRAW_BLOCK = 16
@@ -339,7 +382,6 @@ class ToyPolicy:
         self.temperature = float(temperature)
         self.params_old = logits.copy()
         self.snapshot_version = 0
-        self._entity_index = {e.entity_id: i for i, e in enumerate(lexicon.entities)}
         self._old_tables_cache: tuple | None = None
 
     @property
@@ -347,10 +389,7 @@ class ToyPolicy:
         return self.logits.size
 
     def entity_index(self, entity_id: str) -> int:
-        try:
-            return self._entity_index[entity_id]
-        except KeyError:
-            raise ValueError(f"unknown entity_id {entity_id!r}") from None
+        return self.lexicon.entity_index(entity_id)
 
     def snapshot(self) -> None:
         """Freeze the current parameters as the sampling distribution."""
@@ -378,8 +417,7 @@ class ToyPolicy:
         prevs = np.empty_like(tokens)
         prevs[1:] = tokens[:-1]
         prevs[np.cumsum(lengths) - lengths] = BOS
-        ents = np.fromiter((self.entity_index(e) for e in entity_ids), dtype=np.intp,
-                           count=len(lengths))
+        ents = np.fromiter(map(self.lexicon.entity_index, entity_ids), np.intp, len(lengths))
         return np.repeat(ents * self.lexicon.vocab_size, lengths) + prevs
 
     def state_logps(self, states: np.ndarray, tokens: np.ndarray) -> np.ndarray:
@@ -465,16 +503,15 @@ def _sample_batch(policy: ToyPolicy, entity_ids, seeds, max_len: int) -> list[Ro
     rollout does not depend on the other rows.  Memory grows with the tokens
     emitted, not with ``max_len``.
     """
-    if max_len < 1:
-        raise ValueError(f"max_len must be >= 1, got {max_len}")
+    if not _is_int(max_len) or max_len < 1:
+        raise ValueError(f"max_len must be an integer >= 1, got {max_len!r}")
     vocab = policy.lexicon.vocab_size
     logp_table, cum_table, ent_table = policy._old_tables()
     logp_table, cum_table = logp_table.reshape(-1, vocab), cum_table.reshape(-1, vocab)
     ent_table = ent_table.reshape(-1)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     rows = np.arange(len(rngs))
-    base = vocab * np.fromiter((policy.entity_index(e) for e in entity_ids), dtype=np.intp,
-                               count=len(rngs))
+    base = vocab * np.fromiter(map(policy.lexicon.entity_index, entity_ids), np.intp, len(rngs))
     states = base + BOS
     emitted = []  # per position: (rows alive, their tokens, log-probs, entropies)
     for pos in range(max_len):
@@ -555,7 +592,7 @@ def toy_reward_config() -> RewardConfig:
 
 def _scored_rollouts(
     policy: ToyPolicy, prompts: list[tuple[str, tuple]], n: int, max_len: int,
-    golds: dict, refs: dict, config: RewardConfig, ablation: str = "full",
+    config: RewardConfig, ablation: str = "full",
 ) -> list[RolloutScore]:
     """Sample ``n`` rollouts for each ``(entity_id, key)`` prompt, all in one
     lockstep batch, and score each under ``ablation``.
@@ -568,8 +605,8 @@ def _scored_rollouts(
     scored = []
     for ro in _sample_batch(policy, entity_ids, seeds, max_len):
         raw = render_response(policy.lexicon, ro.tokens, config)
-        ent_id = ro.entity_id
-        breakdown, seg = score_response(raw, golds[ent_id], refs[ent_id], config, ablation)
+        gold, refs = policy.lexicon.gold(ro.entity_id), policy.lexicon.ref_lengths(ro.entity_id)
+        breakdown, seg = score_response(raw, gold, refs, config, ablation)
         scored.append(RolloutScore(ro, breakdown, _measured_length(seg.trans, "tokens")))
     return scored
 
@@ -592,18 +629,19 @@ def measure_pass_at_k(
     """
     if not _is_int(n) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    if not _is_int(seed) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     entity_ids = tuple(entity_ids)
     if not entity_ids:
         raise ValueError("no entity ids")
     if config is None:
         config = toy_reward_config()
-    lexicon = policy.lexicon
     counts = []
     for e_idx, ent_id in enumerate(entity_ids):
-        scored = _scored_rollouts(
-            policy, [(ent_id, (seed, _STREAM_EVAL, e_idx))], n, max_len,
-            {ent_id: lexicon.gold(ent_id)}, {ent_id: lexicon.ref_lengths(ent_id)}, config,
-        )
+        # One batch per entity: one batch for all gives the same counts, but raised
+        # the train benchmark's peak_rss_mb from 45.1-45.2 to 59.5-59.6 MB (4 of 4 runs).
+        prompt = (ent_id, (seed, _STREAM_EVAL, e_idx))
+        scored = _scored_rollouts(policy, [prompt], n, max_len, config)
         counts.append(sum(s.breakdown.match for s in scored))
     curve = pass_at_k_curve(PassAtKInput(n=n, counts=tuple(counts), ks=tuple(ks)))
     return curve, tuple(counts)
@@ -627,8 +665,8 @@ class PriorStructure:
     def __post_init__(self) -> None:
         for name in ("chain_strength", "distractor_eos", "alias_end_eos"):
             value = getattr(self, name)
-            if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            if isinstance(value, bool) or not np.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 def _structured_logits(
@@ -800,12 +838,12 @@ def train(
         raise ValueError(f"steps must be an integer >= 0, got {steps!r}")
     if not _is_int(seed) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    if lexicon != policy.lexicon:
+        raise ValueError("lexicon is not the policy's lexicon")
     if not lexicon.train_ids:
         raise ValueError("lexicon has no train entities")
 
     batch_size = optim_cfg.mini_batch_size * optim_cfg.updates_per_batch
-    golds = {ent_id: lexicon.gold(ent_id) for ent_id in lexicon.train_ids}
-    refs = {ent_id: lexicon.ref_lengths(ent_id) for ent_id in lexicon.train_ids}
     train_ids = np.asarray(lexicon.train_ids)
 
     metrics: list[TrainMetricsRow] = []
@@ -820,8 +858,7 @@ def train(
         size = optim_cfg.group_size
         prompts = [(str(ent_id), (seed, _STREAM_ROLLOUT, step, p_idx))
                    for p_idx, ent_id in enumerate(batch)]
-        scored = _scored_rollouts(policy, prompts, size, max_len, golds, refs,
-                                  reward_cfg, ablation)
+        scored = _scored_rollouts(policy, prompts, size, max_len, reward_cfg, ablation)
         groups = []
         for p_idx, (ent_id, _) in enumerate(prompts):
             members = [GroupMember(s.rollout.tokens, s.rollout.old_logp, s.breakdown.reward)

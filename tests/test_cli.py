@@ -366,6 +366,11 @@ class TestGenCommand:
         assert capsys.readouterr().err.startswith("error:")
 
 
+def _float_alias_token(doc):
+    doc["entities"][0]["aliases"][0][0] = 7.5
+    return json.dumps(doc)
+
+
 class TestTrainCommand:
     def test_missing_lexicon_flag(self, tmp_path, capsys):
         code = main(["train", "--steps", "1", "--out", str(tmp_path / "o")])
@@ -374,6 +379,24 @@ class TestTrainCommand:
 
     def test_unreadable_lexicon(self, tmp_path, capsys):
         code = main(["train", "--steps", "1", "--lexicon", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "cannot load lexicon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text_of", [
+        pytest.param(lambda doc: json.dumps([doc]), id="top-level-list"),
+        pytest.param(lambda doc: json.dumps({**doc, "entities": 5}), id="entities-not-a-list"),
+        pytest.param(lambda doc: json.dumps({**doc, "train_ids": [doc["train_ids"]]}),
+                     id="list-in-train_ids"),
+        pytest.param(_float_alias_token, id="float-alias-token"),
+        pytest.param(lambda doc: "[" * 100_000 + "]" * 100_000, id="nested-too-deeply"),
+    ])
+    def test_malformed_lexicon_is_fatal(self, tmp_path, capsys, text_of):
+        task = tmp_path / "task"
+        assert main(["gen", "--seed", "42", "--out", str(task)]) == 0
+        path = task / "lexicon.json"
+        path.write_text(text_of(json.loads(path.read_text())))
+        capsys.readouterr()
+        code = main(["train", "--steps", "1", "--lexicon", str(path), "--out", str(tmp_path / "o")])
         assert code == 1
         assert "cannot load lexicon" in capsys.readouterr().err
 

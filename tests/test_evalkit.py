@@ -69,7 +69,8 @@ class TestPassAtKSingle:
                 expected = 1.0 - miss_prob
             assert pass_at_k_single(n, c, k).hex() == expected.hex(), (n, c, k)
 
-    @pytest.mark.parametrize("n,c,k", [(0, 0, 1), (4, -1, 1), (4, 5, 1), (4, 2, 0), (4, 2, 5)])
+    @pytest.mark.parametrize("n,c,k", [(0, 0, 1), (4, -1, 1), (4, 5, 1), (4, 2, 0), (4, 2, 5),
+                                       (4.5, 1, 1), (4, 1.0, 1), (4, 1, 2.0), (True, True, True)])
     def test_rejects_bad_arguments(self, n, c, k):
         with pytest.raises(ValueError):
             pass_at_k_single(n, c, k)

@@ -100,6 +100,12 @@ class TestGenLexicon:
         {"ref_pad_range": (-1, 0)},
         {"ref_pad_range": (2, 1)},
         {"vocab_size": 8, "aliases_per_entity": 4, "alias_len_range": (4, 4)},
+        {"seed": True},
+        {"vocab_size": 32.0},
+        {"n_entities": 2.5},
+        {"aliases_per_entity": 0},
+        {"alias_len_range": (2.0, 3)},
+        {"ref_pad_range": (0, 1.5)},
     ])
     def test_rejects_bad_arguments(self, kwargs):
         base = {"seed": 0, "n_entities": 4, "vocab_size": 32}
@@ -148,6 +154,49 @@ class TestSyntheticLexicon:
         doc = LEX.to_dict()
         doc["entities"][0]["aliases"][0][0] = FILLER
         with pytest.raises(ValueError, match="reserved"):
+            SyntheticLexicon.from_dict(doc)
+
+    def test_index_and_golds_built_once_and_outside_equality(self):
+        for row, ent in enumerate(LEX.entities):
+            assert LEX.entity_index(ent.entity_id) == row
+            assert LEX.entity(ent.entity_id) is ent
+            assert LEX.gold(ent.entity_id) is LEX.gold(ent.entity_id)
+            assert LEX.gold(ent.entity_id).aliases == tuple(map(LEX.alias_text, ent.aliases))
+        again = SyntheticLexicon.from_dict(LEX.to_dict())
+        assert again == LEX and hash(again) == hash(LEX)
+        assert repr(again) == repr(LEX) and "golds" not in repr(LEX)
+
+    @pytest.mark.parametrize("where, value", [
+        (("vocab_size",), 32.0),
+        (("vocab_size",), True),
+        (("entities", 0, "source_token"), 7.0),
+        (("entities", 0, "aliases", 0, 0), 7.5),
+        (("entities", 0, "aliases", 0, 0), True),
+        (("entities", 0, "canonical_ref"), [6.0]),
+        (("entities", 0, "entity_id"), 0),
+        (("train_ids",), [["E0"]]),
+    ])
+    def test_validation_rejects_non_integer_tokens_and_non_string_ids(self, where, value):
+        # from_dict coerces nothing, so a loaded lexicon is checked like a built one.
+        doc = LEX.to_dict()
+        *path, last = where
+        target = doc
+        for key in path:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(ValueError, match="integer|string"):
+            SyntheticLexicon.from_dict(doc)
+
+    @pytest.mark.parametrize("doc", [
+        [],
+        {"entities": []},
+        {**LEX.to_dict(), "entities": 5},
+        {**LEX.to_dict(), "train_ids": "E0"},
+        {**LEX.to_dict(), "entities": [{"entity_id": "E0"}]},
+        {**LEX.to_dict(), "entities": [{**LEX.to_dict()["entities"][0], "aliases": [7]}]},
+    ])
+    def test_from_dict_rejects_documents_of_the_wrong_shape(self, doc):
+        with pytest.raises(ValueError, match="lexicon document"):
             SyntheticLexicon.from_dict(doc)
 
 
@@ -255,8 +304,13 @@ class TestSampleRollout:
         assert np.all(ro.entropies >= 0.0)
 
     def test_max_len_validation(self):
-        with pytest.raises(ValueError):
-            sample_rollout(small_policy(), LEX.entities[0].entity_id, max_len=0, seed=0)
+        # The sampler's check covers its callers; TestTrain covers train's.
+        ent = LEX.entities[0].entity_id
+        for max_len in (0, True, 2.5):
+            with pytest.raises(ValueError, match="max_len"):
+                sample_rollout(small_policy(), ent, max_len=max_len, seed=0)
+            with pytest.raises(ValueError, match="max_len"):
+                measure_pass_at_k(small_policy(), [ent], n=2, ks=(1,), seed=0, max_len=max_len)
 
     @pytest.mark.parametrize(
         "seed", [np.random.default_rng(0), np.random.PCG64(0), None, True, 1.5]
@@ -327,6 +381,9 @@ class TestMeasurePassAtK:
         {"n": 2.0},
         {"n": True},
         {"entity_ids": ()},
+        {"seed": True},
+        {"seed": 1.0},
+        {"seed": -1},
     ])
     def test_rejects_bad_values(self, kwargs, monkeypatch):
         # Rejected before any rollout is sampled.
@@ -336,9 +393,9 @@ class TestMeasurePassAtK:
             raise AssertionError("sampled before rejecting")
 
         monkeypatch.setattr(toytask, "_sample_batch", no_sampling)
-        args = {"entity_ids": LEX.train_ids[:2], "n": 8, **kwargs}
+        args = {"entity_ids": LEX.train_ids[:2], "n": 8, "seed": 0, **kwargs}
         with pytest.raises(ValueError):
-            measure_pass_at_k(small_policy(), ks=(1,), seed=0, **args)
+            measure_pass_at_k(small_policy(), ks=(1,), **args)
 
     def test_memory_grows_with_tokens_emitted_not_max_len(self):
         # The prior's rollouts end at EOS within a few tokens; a sampler that
@@ -392,8 +449,10 @@ class TestPriorStructure:
         assert (st.chain_strength, st.distractor_eos, st.alias_end_eos) == (6.0, 4.0, 6.0)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            PriorStructure(chain_strength=float("nan"))
+        for kwargs in ({"chain_strength": float("nan")}, {"distractor_eos": float("inf")},
+                       {"chain_strength": True}, {"alias_end_eos": False}):
+            with pytest.raises(ValueError):
+                PriorStructure(**kwargs)
 
 
 class TestInitActivationPrior:
@@ -484,6 +543,48 @@ class TestTrain:
                 LEX, small_policy(), toy_reward_config(), SMALL_OPTIM,
                 steps=1, ablation="nope",
             )
+        for max_len in (True, 2.5):
+            with pytest.raises(ValueError, match="max_len"):
+                train(LEX, small_policy(), toy_reward_config(), SMALL_OPTIM, steps=1,
+                      max_len=max_len)
+
+    def test_rejects_a_lexicon_that_is_not_the_policys(self):
+        # Rows and gold sets come from the policy's lexicon; training it
+        # against another would score every rollout against foreign golds.
+        policy = prior_policy()
+        before = policy.logits.copy()
+        other = gen_lexicon(seed=8, n_entities=6, vocab_size=32)
+        with pytest.raises(ValueError, match="policy's lexicon"):
+            train(other, policy, toy_reward_config(), SMALL_OPTIM, steps=1, seed=3)
+        np.testing.assert_array_equal(policy.logits, before)
+        assert policy.snapshot_version == 0
+        # An equal lexicon, loaded separately, is the policy's.
+        same = SyntheticLexicon.from_dict(LEX.to_dict())
+        assert len(train(same, policy, toy_reward_config(), SMALL_OPTIM, steps=1).metrics) == 1
+
+    def test_update_hook_sees_every_step(self, monkeypatch):
+        # The benchmark checks rewards by wrapping toytask.policy_update_step;
+        # train must reach it by that name, once per step, with scored groups.
+        import entrl.toytask as toytask
+
+        calls = []
+
+        def recorder(policy, groups, config, rng=None):
+            calls.append(groups)
+
+        monkeypatch.setattr(toytask, "policy_update_step", recorder)
+        batch = SMALL_OPTIM.mini_batch_size * SMALL_OPTIM.updates_per_batch
+        alpha = toy_reward_config().alpha
+        allowed = {0.0, alpha, alpha + 1}
+        for steps in (2, 0):
+            calls.clear()
+            train(LEX, prior_policy(), toy_reward_config(), SMALL_OPTIM, steps=steps, seed=5)
+            assert len(calls) == steps
+            for groups in calls:
+                assert len(groups) == batch
+                for group in groups:
+                    assert len(group.members) == SMALL_OPTIM.group_size
+                    assert {m.reward for m in group.members} <= allowed
 
     def test_ablation_changes_rewards_not_sampling(self):
         # Same seed: step-0 rollouts are identical, so only reward-derived
