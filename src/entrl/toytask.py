@@ -91,7 +91,8 @@ class SyntheticLexicon:
 
     Token ids below ``N_SPECIALS`` are reserved (bos, eos, think markers,
     source marker); ``FILLER`` is a content token reserved for think-segment
-    padding and never appears in aliases.
+    padding.  An entity's source token, aliases and canonical reference use
+    only the tokens above ``FILLER``.
     """
 
     vocab_size: int
@@ -119,11 +120,10 @@ class SyntheticLexicon:
             tokens = (ent.source_token, *ent.canonical_ref, *(t for a in ent.aliases for t in a))
             if not all(map(_is_int, tokens)):
                 raise ValueError(f"{ent.entity_id}: token ids must be integers")
-            for alias in ent.aliases:
-                if not alias:
-                    raise ValueError(f"{ent.entity_id}: empty alias")
-                if any(t <= FILLER or t >= self.vocab_size for t in alias):
-                    raise ValueError(f"{ent.entity_id}: alias uses reserved tokens")
+            if not ent.canonical_ref or not all(ent.aliases):
+                raise ValueError(f"{ent.entity_id}: empty alias or canonical_ref")
+            if any(t <= FILLER or t >= self.vocab_size for t in tokens):
+                raise ValueError(f"{ent.entity_id}: uses reserved or out-of-vocabulary tokens")
         object.__setattr__(self, "index", {e_id: i for i, e_id in enumerate(ids)})
         object.__setattr__(self, "golds", tuple(GoldEntitySet(
             e.entity_id, tuple(map(self.alias_text, e.aliases))) for e in self.entities))
@@ -354,6 +354,103 @@ _ROW_BLOCK = 256
 # Uniforms each lockstep sampling row draws at a time.
 _DRAW_BLOCK = 16
 
+# numpy's SeedSequence hash and PCG64 generator (numpy/random/bit_generator.pyx,
+# pcg64.h): fixed algorithms, so a batch of streams can be computed as arrays
+# and still equal numpy's own Generators draw for draw.
+_MASK32 = 0xFFFF_FFFF
+_MASK64 = (1 << 64) - 1
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_WORDS = 4
+# Powers of the mixing multiplier, for the constant before each pool word and after the last.
+_HASH_A_STEPS = np.array([pow(_HASH_MULT_A, d, 1 << 32) for d in range(_POOL_WORDS + 1)], np.uint32)
+# generate_state's hash constant before each of its 8 output words, and after the last.
+_HASH_B = np.array([_HASH_INIT_B * pow(_HASH_MULT_B, j, 1 << 32) & _MASK32 for j in range(9)],
+                   np.uint32)
+
+
+def _key_words(key) -> int:
+    """The number of 32-bit words SeedSequence makes of ``key``'s ints (0 takes one)."""
+    if isinstance(key, (int, np.integer)):
+        return max(1, -(-int(key).bit_length() // 32))
+    return sum(map(_key_words, key))
+
+
+def _spawned_streams(keys, n: int) -> np.ndarray:
+    """The PCG64 stream of ``SeedSequence(key).spawn(n)[i]`` for each key, then each i.
+
+    A child's entropy is its parent's, zero-padded to the pool, followed by
+    the word ``i``, so its pool is the parent's pool with ``i`` mixed in,
+    hashed with the constant the parent's own mixing left behind.
+    Returns the ``(4, len(keys) * n)`` array ``_pcg_uniforms`` reads.
+    """
+    pools = np.array([np.random.SeedSequence(key).pool for key in keys], np.uint32)
+    # The mixing hash constant after the parent's 4 calls per pool word, 12 for
+    # the all-pairs pass and 4 per word beyond the pool, then one per pool word.
+    after_parent = [_HASH_INIT_A * pow(_HASH_MULT_A, 16 + 4 * max(0, _key_words(key) - _POOL_WORDS),
+                                       1 << 32) & _MASK32 for key in keys]
+    consts = (np.array(after_parent, np.uint32)[:, None] * _HASH_A_STEPS)[:, None, :]
+    hashed = (np.arange(n, dtype=np.uint32)[None, :, None] ^ consts[..., :-1]) * consts[..., 1:]
+    hashed ^= hashed >> 16
+    pool = _MIX_MULT_L * pools[:, None, :] - _MIX_MULT_R * hashed
+    pool ^= pool >> 16
+    # generate_state(4, np.uint64): 8 hashed words cycling the pool, paired little-endian.
+    words = (np.tile(pool, 2) ^ _HASH_B[:-1]) * _HASH_B[1:]
+    words ^= words >> 16
+    words = words.reshape(-1, 8).astype(np.uint64)
+    seed_hi, seed_lo, seq_hi, seq_lo = (words[:, 2 * k] | words[:, 2 * k + 1] << 32 for k in range(4))
+    # PCG64's seeding: inc = 2 * seq + 1; state = inc + seed, then one LCG step.
+    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+    state_lo = inc_lo + seed_lo
+    state_hi = inc_hi + seed_hi + (state_lo < seed_lo)
+    return np.stack([*_pcg_step(state_hi, state_lo, inc_hi, inc_lo), inc_hi, inc_lo])
+
+
+def _seed_streams(seeds) -> np.ndarray:
+    """The PCG64 stream of ``default_rng(seed)`` for each seed, as ``_spawned_streams``."""
+    words = []
+    for seed in seeds:
+        state = np.random.PCG64(seed).state["state"]
+        words.append([state["state"] >> 64, state["state"] & _MASK64,
+                      state["inc"] >> 64, state["inc"] & _MASK64])
+    return np.array(words, np.uint64).T
+
+
+def _mulhi64(x: np.ndarray, c: int) -> np.ndarray:
+    """The high 64 bits of ``x * c``, for uint64 ``x`` and a 64-bit constant ``c``."""
+    x0, x1, c0, c1 = x & _MASK32, x >> 32, c & _MASK32, c >> 32
+    p01, p10 = x0 * c1, x1 * c0
+    mid = (x0 * c0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    return x1 * c1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+def _pcg_step(state_hi, state_lo, inc_hi, inc_lo) -> tuple[np.ndarray, np.ndarray]:
+    """One PCG64 LCG step, ``state * mult + inc`` modulo 2**128, on hi/lo uint64 arrays."""
+    lo = state_lo * _PCG_MULT_LO + inc_lo
+    hi = (_mulhi64(state_lo, _PCG_MULT_LO) + state_lo * _PCG_MULT_HI + state_hi * _PCG_MULT_LO
+          + inc_hi + (lo < inc_lo))
+    return hi, lo
+
+
+def _pcg_uniforms(streams: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The next ``count`` uniforms of each stream, as ``Generator.random`` draws
+    them, and the advanced streams.
+
+    ``streams`` rows are the 128-bit state's high and low words and the
+    increment's; column ``i`` is one stream.  Each draw is an LCG step, the
+    XSL-RR output of the new state, and ``(x >> 11) * 2**-53``.
+    """
+    state_hi, state_lo, inc_hi, inc_lo = streams
+    u = np.empty((streams.shape[1], count))
+    for j in range(count):
+        state_hi, state_lo = _pcg_step(state_hi, state_lo, inc_hi, inc_lo)
+        x, rot = state_hi ^ state_lo, state_hi >> 58
+        x = x >> rot | x << (64 - rot & 63)
+        u[:, j] = (x >> 11) * 2.0**-53
+    return u, np.stack([state_hi, state_lo, inc_hi, inc_lo])
+
 
 def _log_softmax(rows: np.ndarray) -> np.ndarray:
     shifted = rows - rows.max(axis=-1, keepdims=True)
@@ -495,41 +592,48 @@ def _next_tokens(cum_rows: np.ndarray, u: np.ndarray, vocab_size: int) -> np.nda
     return np.minimum(np.count_nonzero(cum_rows <= u[:, None], axis=1), vocab_size - 1)
 
 
-def _sample_batch(policy: ToyPolicy, entity_ids, seeds, max_len: int) -> list[Rollout]:
-    """Sample one rollout per ``(entity_ids[i], seeds[i])`` row, all rows in lockstep.
-
-    Row ``i`` takes its uniforms from ``default_rng(seeds[i])``, one per
-    token, drawn ``_DRAW_BLOCK`` at a time while the row is alive, so its
-    rollout does not depend on the other rows.  Memory grows with the tokens
-    emitted, not with ``max_len``.
-    """
+def _check_max_len(max_len) -> None:
     if not _is_int(max_len) or max_len < 1:
         raise ValueError(f"max_len must be an integer >= 1, got {max_len!r}")
+
+
+def _sample_batch(policy: ToyPolicy, entity_ids, streams: np.ndarray, max_len: int) -> list[Rollout]:
+    """Sample one rollout per ``(entity_ids[i], streams[:, i])`` row, all rows in lockstep.
+
+    Row ``i`` takes its uniforms from its own stream, one per token, drawn
+    ``_DRAW_BLOCK`` at a time while the row is alive, so its rollout does not
+    depend on the other rows.  The streams are PCG64 states held as arrays
+    (from ``_spawned_streams`` or ``_seed_streams``), and each equals, draw
+    for draw, the ``default_rng`` it stands for; a dead row's stream is
+    dropped with its state.  Memory grows with the tokens emitted, not with
+    ``max_len``.
+    """
+    _check_max_len(max_len)
     vocab = policy.lexicon.vocab_size
     logp_table, cum_table, ent_table = policy._old_tables()
     logp_table, cum_table = logp_table.reshape(-1, vocab), cum_table.reshape(-1, vocab)
     ent_table = ent_table.reshape(-1)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    rows = np.arange(len(rngs))
-    base = vocab * np.fromiter(map(policy.lexicon.entity_index, entity_ids), np.intp, len(rngs))
+    rows = np.arange(len(entity_ids))
+    base = vocab * np.fromiter(map(policy.lexicon.entity_index, entity_ids), np.intp, len(rows))
     states = base + BOS
     emitted = []  # per position: (rows alive, their tokens, log-probs, entropies)
     for pos in range(max_len):
         col = pos % _DRAW_BLOCK
         if col == 0:
             draw = min(_DRAW_BLOCK, max_len - pos)
-            u = np.stack([rngs[r].random(draw) for r in rows])
+            u, streams = _pcg_uniforms(streams, draw)
         toks = _next_tokens(cum_table[states], u[:, col], vocab)
         emitted.append((rows, toks, logp_table[states, toks], ent_table[states]))
         alive = toks != EOS
         if not alive.all():
             rows, base, toks, u = rows[alive], base[alive], toks[alive], u[alive]
+            streams = streams[:, alive]
             if rows.size == 0:
                 break
         states = base + toks
 
     row_of, toks_at, logps_at, ents_at = (np.concatenate(part) for part in zip(*emitted))
-    lengths = np.bincount(row_of, minlength=len(rngs))
+    lengths = np.bincount(row_of, minlength=len(entity_ids))
     ends = np.cumsum(lengths)
     # Row r's token at position p goes to (tokens of rows before r) + p.
     pos_of = np.repeat(np.arange(len(emitted)), [len(part[0]) for part in emitted])
@@ -552,10 +656,12 @@ def sample_rollout(policy: ToyPolicy, entity_id: str, max_len: int, seed) -> Rol
     Generation starts after BOS, ends at EOS or after ``max_len`` tokens.
     The emitted EOS is part of the sequence and carries a log-probability;
     a sequence that never emits EOS is marked truncated.  ``seed`` is an
-    int, a tuple of ints or a SeedSequence; each token takes one uniform
-    draw from ``default_rng(seed)``.  A Generator or BitGenerator is
-    rejected with ``TypeError``: draws are taken in blocks, so a shared
-    generator would advance by more than the tokens sampled.
+    int, a tuple of ints or a SeedSequence.  The row's stream is the PCG64
+    state of ``PCG64(seed).state`` held as arrays, so each token takes the
+    uniform ``default_rng(seed)`` would draw next.  Anything else raises
+    ``TypeError``: a Generator or BitGenerator would not be advanced by the
+    rollout, ``None`` would seed from the operating system, and a bool or
+    float is not an integer seed.
     ``old_logp`` and ``entropies`` are read from the snapshot's tables,
     built once per snapshot.
     """
@@ -564,7 +670,7 @@ def sample_rollout(policy: ToyPolicy, entity_id: str, max_len: int, seed) -> Rol
         raise TypeError(
             f"seed must be an int, a tuple or a SeedSequence, got {type(seed).__name__}"
         )
-    return _sample_batch(policy, [entity_id], [seed], max_len)[0]
+    return _sample_batch(policy, [entity_id], _seed_streams([seed]), max_len)[0]
 
 
 def render_response(lexicon: SyntheticLexicon, tokens: tuple[int, ...], config: RewardConfig) -> str:
@@ -597,13 +703,14 @@ def _scored_rollouts(
     """Sample ``n`` rollouts for each ``(entity_id, key)`` prompt, all in one
     lockstep batch, and score each under ``ablation``.
 
-    Rollout ``i`` of a prompt draws from child ``i`` of ``SeedSequence(key)``.
-    Returns the scores in prompt order, then sampling order.
+    Rollout ``i`` of a prompt draws what ``default_rng`` would from child
+    ``i`` of ``SeedSequence(key)``.  Returns the scores in prompt order, then
+    sampling order.
     """
     entity_ids = [ent_id for ent_id, _ in prompts for _ in range(n)]
-    seeds = [child for _, key in prompts for child in np.random.SeedSequence(key).spawn(n)]
+    streams = _spawned_streams([key for _, key in prompts], n)
     scored = []
-    for ro in _sample_batch(policy, entity_ids, seeds, max_len):
+    for ro in _sample_batch(policy, entity_ids, streams, max_len):
         raw = render_response(policy.lexicon, ro.tokens, config)
         gold, refs = policy.lexicon.gold(ro.entity_id), policy.lexicon.ref_lengths(ro.entity_id)
         breakdown, seg = score_response(raw, gold, refs, config, ablation)
@@ -838,6 +945,7 @@ def train(
         raise ValueError(f"steps must be an integer >= 0, got {steps!r}")
     if not _is_int(seed) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    _check_max_len(max_len)
     if lexicon != policy.lexicon:
         raise ValueError("lexicon is not the policy's lexicon")
     if not lexicon.train_ids:

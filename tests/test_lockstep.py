@@ -1,9 +1,11 @@
 """The lockstep sampler and the array update against their per-rollout loops.
 
 ``tests/oracles/rollout_loops.py`` holds the sampler and the update written
-one token and one member at a time.  The batched code must give the same
-bytes: tokens, log-probs, entropies and truncation per row, and the logits
-after an update step.
+one token and one member at a time, drawing from numpy's own
+``default_rng``.  The batched code must give the same bytes: tokens,
+log-probs, entropies and truncation per row, and the logits after an update
+step.  The sampler's array streams must equal numpy's SeedSequence children
+and Generators word for word and draw for draw.
 """
 
 import numpy as np
@@ -25,7 +27,15 @@ from entrl import (
     toy_reward_config,
 )
 from entrl.optim import _check_groups, _live_ratios
-from entrl.toytask import ToyPolicy, _next_tokens, _sample_batch
+from entrl.toytask import (
+    _DRAW_BLOCK,
+    ToyPolicy,
+    _next_tokens,
+    _pcg_uniforms,
+    _sample_batch,
+    _seed_streams,
+    _spawned_streams,
+)
 from oracles.rollout_loops import (
     policy_update_loop,
     sample_rollout_loop,
@@ -52,6 +62,49 @@ def assert_same_rollout(ro, expected):
     assert ro.truncated == truncated
 
 
+MASK64 = (1 << 64) - 1
+
+# (keys, n): the prompt keys of train and measure_pass_at_k, entropy words
+# past 32 bits, keys longer than SeedSequence's 4-word pool, int keys and 0.
+STREAM_CASES = {
+    "train-keys": ([(s, 4, step, p) for s in (0, 3) for step in (0, 7) for p in (0, 31)], 16),
+    "seed-above-2**32": ([(2**32 + 5, 4, 2, 1), (2**63, 6, 0)], 16),
+    "key-over-4-words": ([(1, 4, 2, 3, 9), (2**70, 4, 2**40, 3), (0, 4, 0, 0, 7)], 16),
+    "int-and-zero-keys": ([7, 0, (0,), 2**33], 16),
+    "one-child": ([(3, 6, 0), 5], 1),
+    "600-children": ([(3, 6, 0), (1, 6, 19)], 600),
+}
+
+
+class TestStreams:
+    @pytest.mark.parametrize("case", list(STREAM_CASES), ids=list(STREAM_CASES))
+    def test_spawned_streams_are_numpys_children(self, case):
+        keys, n = STREAM_CASES[case]
+        children = [c for key in keys for c in np.random.SeedSequence(key).spawn(n)]
+        words = []
+        for child in children:
+            state = np.random.PCG64(child).state["state"]
+            words.append([state["state"] >> 64, state["state"] & MASK64,
+                          state["inc"] >> 64, state["inc"] & MASK64])
+        streams = _spawned_streams(keys, n)
+        assert streams.dtype == np.uint64
+        assert streams.tobytes() == np.array(words, np.uint64).T.tobytes()
+
+        # 40 uniforms in the sampler's blocks (16, 16, 8) continue one stream.
+        blocks = []
+        for count in (_DRAW_BLOCK, _DRAW_BLOCK, 40 - 2 * _DRAW_BLOCK):
+            u, streams = _pcg_uniforms(streams, count)
+            blocks.append(u)
+        expected = np.stack([np.random.default_rng(c).random(40) for c in children])
+        assert np.hstack(blocks).tobytes() == expected.tobytes()
+
+    def test_seed_streams_are_numpys_generators(self):
+        seeds = [0, 3, 2**40, np.int64(9), (3, 1), np.random.SeedSequence((5, 6))]
+        u, _ = _pcg_uniforms(_seed_streams(seeds), 20)
+        expected = np.stack([np.random.default_rng(s).random(20) for s in seeds])
+        assert u.tobytes() == expected.tobytes()
+
+
 class TestLockstepSampler:
     @pytest.mark.parametrize("max_len", [1, 7, 40])
     def test_batch_matches_per_token_loop(self, max_len):
@@ -59,7 +112,7 @@ class TestLockstepSampler:
         rows = 120
         ids = [IDS[i % len(IDS)] for i in range(rows)]
         seeds = [np.random.SeedSequence((3, i)) if i % 3 else i for i in range(rows)]
-        batch = _sample_batch(policy, ids, seeds, max_len)
+        batch = _sample_batch(policy, ids, _seed_streams(seeds), max_len)
         assert len(batch) == rows
         for ro, ent, seed in zip(batch, ids, seeds):
             assert ro.entity_id == ent

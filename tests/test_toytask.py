@@ -178,14 +178,24 @@ class TestSyntheticLexicon:
     ])
     def test_validation_rejects_non_integer_tokens_and_non_string_ids(self, where, value):
         # from_dict coerces nothing, so a loaded lexicon is checked like a built one.
-        doc = LEX.to_dict()
-        *path, last = where
-        target = doc
-        for key in path:
-            target = target[key]
-        target[last] = value
         with pytest.raises(ValueError, match="integer|string"):
-            SyntheticLexicon.from_dict(doc)
+            SyntheticLexicon.from_dict(edited_lexicon_doc(where, value))
+
+    @pytest.mark.parametrize("where, value, match", [
+        (("entities", 0, "canonical_ref"), [], "empty"),
+        (("entities", 0, "aliases", 1), [], "empty"),
+        (("entities", 0, "source_token"), FILLER, "reserved"),
+        (("entities", 0, "source_token"), 32, "out-of-vocabulary"),
+        (("entities", 0, "canonical_ref", 0), EOS, "reserved"),
+        (("entities", 0, "canonical_ref", 0), -1, "reserved"),
+        (("entities", 1, "canonical_ref", 0), 32, "out-of-vocabulary"),
+    ])
+    def test_validation_rejects_empty_reference_and_tokens_outside_the_entity_range(
+        self, where, value, match
+    ):
+        # gen_lexicon draws source, alias and reference tokens from (FILLER, vocab_size).
+        with pytest.raises(ValueError, match=match):
+            SyntheticLexicon.from_dict(edited_lexicon_doc(where, value))
 
     @pytest.mark.parametrize("doc", [
         [],
@@ -198,6 +208,17 @@ class TestSyntheticLexicon:
     def test_from_dict_rejects_documents_of_the_wrong_shape(self, doc):
         with pytest.raises(ValueError, match="lexicon document"):
             SyntheticLexicon.from_dict(doc)
+
+
+def edited_lexicon_doc(where: tuple, value) -> dict:
+    """``LEX.to_dict()`` with the item at path ``where`` set to ``value``."""
+    doc = LEX.to_dict()
+    *path, last = where
+    target = doc
+    for key in path:
+        target = target[key]
+    target[last] = value
+    return doc
 
 
 class TestToyPolicy:
@@ -316,8 +337,8 @@ class TestSampleRollout:
         "seed", [np.random.default_rng(0), np.random.PCG64(0), None, True, 1.5]
     )
     def test_rejects_seeds_that_are_not_int_tuple_or_seed_sequence(self, seed):
-        # Uniforms are drawn in blocks, so a shared generator would advance
-        # by more than the tokens sampled and change the caller's next draw.
+        # A rollout never advances a caller's generator, and None would seed
+        # from the operating system.
         with pytest.raises(TypeError, match="seed must be"):
             sample_rollout(small_policy(), LEX.entities[0].entity_id, max_len=12, seed=seed)
 
@@ -547,6 +568,16 @@ class TestTrain:
             with pytest.raises(ValueError, match="max_len"):
                 train(LEX, small_policy(), toy_reward_config(), SMALL_OPTIM, steps=1,
                       max_len=max_len)
+
+    @pytest.mark.parametrize("max_len", [0, -3, True, 2.5])
+    def test_bad_max_len_rejected_before_the_snapshot(self, max_len):
+        policy = prior_policy()
+        policy.logits[0, 0, 6] += 1.0  # live parameters off the snapshot
+        params_old = policy.params_old.copy()
+        with pytest.raises(ValueError, match="max_len"):
+            train(LEX, policy, toy_reward_config(), SMALL_OPTIM, steps=1, max_len=max_len)
+        assert policy.snapshot_version == 0
+        assert policy.params_old.tobytes() == params_old.tobytes()
 
     def test_rejects_a_lexicon_that_is_not_the_policys(self):
         # Rows and gold sets come from the policy's lexicon; training it
