@@ -23,108 +23,38 @@ Quick taste::
     assert out.reward == 1.2
 """
 
-from .evalkit import (
-    PassAtKCurve,
-    PassAtKInput,
-    chrf,
-    entity_accuracy,
-    pass_at_k_curve,
-    pass_at_k_single,
-)
-from .optim import (
-    GroupMember,
-    OptimConfig,
-    RolloutGroup,
-    clipped_term,
-    group_advantages,
-    policy_update_step,
-    seq_importance_ratio,
-    surrogate_objective,
-)
-from .reward import (
-    ABLATIONS,
-    RewardBreakdown,
-    RewardConfig,
-    compute_reward,
-    length_gate,
-    parse_segments,
-    score_response,
-)
-from .scoring import (
-    RecordError,
-    RewardService,
-    ScoreSummary,
-    decode_line,
-    score_lines,
-    score_record,
-    serve_stdio,
-    summarize,
-)
-from .textnorm import GoldEntitySet, match_entity, normalize
-from .toytask import (
-    PolicyConfig,
-    PriorStructure,
-    SyntheticLexicon,
-    ToyPolicy,
-    gen_lexicon,
-    init_activation_prior,
-    load_policy,
-    measure_pass_at_k,
-    metrics_to_csv,
-    render_response,
-    sample_rollout,
-    save_policy,
-    toy_reward_config,
-    train,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ABLATIONS",
-    "GoldEntitySet",
-    "GroupMember",
-    "OptimConfig",
-    "PassAtKCurve",
-    "PassAtKInput",
-    "PolicyConfig",
-    "PriorStructure",
-    "RecordError",
-    "RewardBreakdown",
-    "RewardConfig",
-    "RewardService",
-    "RolloutGroup",
-    "ScoreSummary",
-    "SyntheticLexicon",
-    "ToyPolicy",
-    "chrf",
-    "clipped_term",
-    "compute_reward",
-    "decode_line",
-    "entity_accuracy",
-    "gen_lexicon",
-    "group_advantages",
-    "init_activation_prior",
-    "length_gate",
-    "load_policy",
-    "match_entity",
-    "measure_pass_at_k",
-    "metrics_to_csv",
-    "normalize",
-    "parse_segments",
-    "pass_at_k_curve",
-    "pass_at_k_single",
-    "policy_update_step",
-    "render_response",
-    "sample_rollout",
-    "save_policy",
-    "score_lines",
-    "score_record",
-    "score_response",
-    "seq_importance_ratio",
-    "serve_stdio",
-    "summarize",
-    "surrogate_objective",
-    "toy_reward_config",
-    "train",
-]
+# The package's public names, by defining module: the only list of them.
+_EXPORTS = {
+    "evalkit": ("PassAtKCurve", "PassAtKInput", "chrf", "entity_accuracy", "pass_at_k_curve",
+                "pass_at_k_single"),
+    "optim": ("GroupMember", "OptimConfig", "RolloutGroup", "clipped_term", "group_advantages",
+              "policy_update_step", "seq_importance_ratio", "surrogate_objective"),
+    "reward": ("ABLATIONS", "RewardBreakdown", "RewardConfig", "compute_reward", "length_gate",
+               "parse_segments", "score_response"),
+    "scoring": ("RecordError", "RewardService", "ScoreSummary", "decode_line", "score_lines",
+                "score_record", "serve_stdio", "summarize"),
+    "textnorm": ("GoldEntitySet", "match_entity", "normalize"),
+    "toytask": ("PolicyConfig", "PriorStructure", "SyntheticLexicon", "ToyPolicy", "gen_lexicon",
+                "init_activation_prior", "load_policy", "measure_pass_at_k", "metrics_to_csv",
+                "render_response", "sample_rollout", "save_policy", "toy_reward_config", "train"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    """Import a public name's module on first use (PEP 562).
+
+    The result is not stored here, so a function patched later in its
+    defining module is the one ``entrl.<name>`` returns.
+    """
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -16,21 +16,9 @@ import sys
 from pathlib import Path
 
 from .evalkit import PassAtKInput, _is_int, pass_at_k_curve
-from .optim import OptimConfig
-from .reward import ABLATIONS, RewardConfig
+from .reward import ABLATIONS, RewardConfig, _check_ablation
 from .scoring import (RecordError, RewardService, _encode_reply, decode_line, score_lines,
                       serve_stdio, summarize)
-from .toytask import (
-    PolicyConfig,
-    SyntheticLexicon,
-    gen_lexicon,
-    init_activation_prior,
-    measure_pass_at_k,
-    metrics_to_csv,
-    save_policy,
-    toy_reward_config,
-    train,
-)
 
 __all__ = ["main", "CliError"]
 
@@ -38,7 +26,6 @@ CONFIG_ENV_VAR = "ENTRL_CONFIG"
 
 _REWARD_KEYS = {"alpha", "tau", "length_unit", "markers"}
 _OPTIM_ALIASES = {"G": "group_size", "mini_batch": "mini_batch_size"}
-_OPTIM_KEYS = {f.name for f in dataclasses.fields(OptimConfig)} | set(_OPTIM_ALIASES)
 _TRAIN_KEYS = {"steps", "max_len", "temperature", "seed", "lexicon", "ablation", "target_pass1_max"}
 
 
@@ -50,6 +37,12 @@ def _check_keys(section: str, given, allowed) -> None:
     unknown = sorted(set(given) - allowed)
     if unknown:
         raise CliError(f"unknown {section} config key(s): {', '.join(unknown)}")
+
+
+def _optim_keys() -> set:
+    from .optim import OptimConfig
+
+    return {f.name for f in dataclasses.fields(OptimConfig)} | set(_OPTIM_ALIASES)
 
 
 def load_config(path_flag: str | None) -> dict:
@@ -65,11 +58,12 @@ def load_config(path_flag: str | None) -> dict:
     if not isinstance(doc, dict):
         raise CliError(f"config {path!r} must be a JSON object")
     _check_keys("top-level", doc, {"reward", "optim", "train"})
-    for name, keys in (("reward", _REWARD_KEYS), ("optim", _OPTIM_KEYS), ("train", _TRAIN_KEYS)):
+    for name, keys in (("reward", _REWARD_KEYS), ("optim", None), ("train", _TRAIN_KEYS)):
         section = doc.get(name, {})
         if not isinstance(section, dict):
             raise CliError(f"config section {name!r} must be an object")
-        _check_keys(name, section, keys)
+        if section:  # so only a config with optim keys imports the trainer's optim module
+            _check_keys(name, section, keys or _optim_keys())
     return doc
 
 
@@ -88,7 +82,9 @@ def reward_config_from(doc: dict, defaults: RewardConfig | None = None) -> Rewar
         raise CliError(f"bad reward config: {exc}") from None
 
 
-def optim_config_from(doc: dict) -> OptimConfig:
+def optim_config_from(doc: dict):
+    from .optim import OptimConfig
+
     section = doc.get("optim", {})
     kwargs: dict = {}
     for key, value in section.items():
@@ -201,6 +197,8 @@ def cmd_passk(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from .toytask import gen_lexicon
+
     try:
         lexicon = gen_lexicon(
             seed=args.seed,
@@ -255,6 +253,9 @@ def _train_value(section: dict, key: str, default, kinds):
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    from .toytask import (PolicyConfig, SyntheticLexicon, init_activation_prior, measure_pass_at_k,
+                          metrics_to_csv, save_policy, toy_reward_config, train)
+
     doc = load_config(args.config)
     reward_cfg = reward_config_from(doc, defaults=toy_reward_config())
     optim_cfg = optim_config_from(doc)
@@ -269,8 +270,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     except (TypeError, OverflowError) as exc:  # OverflowError: an int beyond float range
         raise CliError(f"bad train config: {exc}") from None
     ablation = args.ablation or section.get("ablation", "full")
-    if ablation not in ABLATIONS:
-        raise CliError(f"unknown ablation {ablation!r}, expected one of {ABLATIONS}")
+    try:
+        _check_ablation(ablation)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     lexicon_path = args.lexicon or section.get("lexicon")
     if not lexicon_path:
         raise CliError("no lexicon: pass --lexicon or set train.lexicon in the config")

@@ -144,6 +144,11 @@ def length_gate(trans: str, ref_lengths: list[int], config: RewardConfig) -> int
     return int(_measured_length(trans, config.length_unit) <= config.tau * mean_ref)
 
 
+def _check_ablation(ablation) -> None:
+    if ablation not in ABLATIONS:
+        raise ValueError(f"unknown ablation {ablation!r}, expected one of {ABLATIONS}")
+
+
 def score_response(
     raw: str,
     gold: GoldEntitySet,
@@ -161,8 +166,7 @@ def score_response(
     * ``no_think`` - no format gate at all, the whole response is the
       translation, length gate retained.
     """
-    if ablation not in ABLATIONS:
-        raise ValueError(f"unknown ablation {ablation!r}, expected one of {ABLATIONS}")
+    _check_ablation(ablation)
 
     if ablation == "no_think":
         seg = ResponseSegments(format_valid=1, think="", trans=raw.strip())

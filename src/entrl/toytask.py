@@ -27,7 +27,7 @@ import numpy as np
 
 from .evalkit import PassAtKCurve, PassAtKInput, _is_int, pass_at_k_curve
 from .optim import GroupMember, OptimConfig, RolloutGroup, policy_update_step
-from .reward import RewardBreakdown, RewardConfig, _measured_length, score_response
+from .reward import RewardBreakdown, RewardConfig, _check_ablation, _measured_length, score_response
 from .textnorm import GoldEntitySet
 
 __all__ = [
@@ -351,8 +351,6 @@ class PolicyConfig:
 # `perfbench/run.py --workload train` runs read latency_ms_p50 41.9-42.7 ms
 # against 39.7-40.9 ms, 4 of 4 alternating pairs on a 2-vCPU VM.
 _ROW_BLOCK = 256
-# Uniforms each lockstep sampling row draws at a time.
-_DRAW_BLOCK = 16
 
 # numpy's SeedSequence hash and PCG64 generator (numpy/random/bit_generator.pyx,
 # pcg64.h): fixed algorithms, so a batch of streams can be computed as arrays
@@ -434,22 +432,19 @@ def _pcg_step(state_hi, state_lo, inc_hi, inc_lo) -> tuple[np.ndarray, np.ndarra
     return hi, lo
 
 
-def _pcg_uniforms(streams: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The next ``count`` uniforms of each stream, as ``Generator.random`` draws
-    them, and the advanced streams.
+def _pcg_uniforms(streams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The next uniform of each stream, as ``Generator.random`` draws it, and
+    the advanced streams.
 
     ``streams`` rows are the 128-bit state's high and low words and the
-    increment's; column ``i`` is one stream.  Each draw is an LCG step, the
+    increment's; column ``i`` is one stream.  A draw is an LCG step, the
     XSL-RR output of the new state, and ``(x >> 11) * 2**-53``.
     """
     state_hi, state_lo, inc_hi, inc_lo = streams
-    u = np.empty((streams.shape[1], count))
-    for j in range(count):
-        state_hi, state_lo = _pcg_step(state_hi, state_lo, inc_hi, inc_lo)
-        x, rot = state_hi ^ state_lo, state_hi >> 58
-        x = x >> rot | x << (64 - rot & 63)
-        u[:, j] = (x >> 11) * 2.0**-53
-    return u, np.stack([state_hi, state_lo, inc_hi, inc_lo])
+    state_hi, state_lo = _pcg_step(state_hi, state_lo, inc_hi, inc_lo)
+    x, rot = state_hi ^ state_lo, state_hi >> 58
+    x = x >> rot | x << (64 - rot & 63)
+    return (x >> 11) * 2.0**-53, np.stack([state_hi, state_lo, inc_hi, inc_lo])
 
 
 def _log_softmax(rows: np.ndarray) -> np.ndarray:
@@ -600,12 +595,12 @@ def _check_max_len(max_len) -> None:
 def _sample_batch(policy: ToyPolicy, entity_ids, streams: np.ndarray, max_len: int) -> list[Rollout]:
     """Sample one rollout per ``(entity_ids[i], streams[:, i])`` row, all rows in lockstep.
 
-    Row ``i`` takes its uniforms from its own stream, one per token, drawn
-    ``_DRAW_BLOCK`` at a time while the row is alive, so its rollout does not
-    depend on the other rows.  The streams are PCG64 states held as arrays
-    (from ``_spawned_streams`` or ``_seed_streams``), and each equals, draw
-    for draw, the ``default_rng`` it stands for; a dead row's stream is
-    dropped with its state.  Memory grows with the tokens emitted, not with
+    Row ``i`` takes its uniforms from its own stream, one per token while
+    the row is alive, so its rollout does not depend on the other rows.
+    The streams are PCG64 states held as arrays (from ``_spawned_streams``
+    or ``_seed_streams``), and each equals, draw for draw, the
+    ``default_rng`` it stands for; a dead row's stream is dropped with its
+    state.  Memory grows with the tokens emitted, not with
     ``max_len``.
     """
     _check_max_len(max_len)
@@ -617,30 +612,22 @@ def _sample_batch(policy: ToyPolicy, entity_ids, streams: np.ndarray, max_len: i
     base = vocab * np.fromiter(map(policy.lexicon.entity_index, entity_ids), np.intp, len(rows))
     states = base + BOS
     emitted = []  # per position: (rows alive, their tokens, log-probs, entropies)
-    for pos in range(max_len):
-        col = pos % _DRAW_BLOCK
-        if col == 0:
-            draw = min(_DRAW_BLOCK, max_len - pos)
-            u, streams = _pcg_uniforms(streams, draw)
-        toks = _next_tokens(cum_table[states], u[:, col], vocab)
+    for _ in range(max_len):
+        u, streams = _pcg_uniforms(streams)
+        toks = _next_tokens(cum_table[states], u, vocab)
         emitted.append((rows, toks, logp_table[states, toks], ent_table[states]))
         alive = toks != EOS
         if not alive.all():
-            rows, base, toks, u = rows[alive], base[alive], toks[alive], u[alive]
-            streams = streams[:, alive]
+            rows, base, toks, streams = rows[alive], base[alive], toks[alive], streams[:, alive]
             if rows.size == 0:
                 break
         states = base + toks
 
     row_of, toks_at, logps_at, ents_at = (np.concatenate(part) for part in zip(*emitted))
-    lengths = np.bincount(row_of, minlength=len(entity_ids))
-    ends = np.cumsum(lengths)
-    # Row r's token at position p goes to (tokens of rows before r) + p.
-    pos_of = np.repeat(np.arange(len(emitted)), [len(part[0]) for part in emitted])
-    dest = (ends - lengths)[row_of] + pos_of
-    toks, logps, ents = (np.empty_like(a) for a in (toks_at, logps_at, ents_at))
-    toks[dest], logps[dest], ents[dest] = toks_at, logps_at, ents_at
-    toks, ends = toks.tolist(), ends.tolist()
+    # Emitted position by position; a stable sort by row keeps each row's positions in order.
+    order = np.argsort(row_of, kind="stable")
+    toks, logps, ents = toks_at[order].tolist(), logps_at[order], ents_at[order]
+    ends = np.cumsum(np.bincount(row_of, minlength=len(entity_ids))).tolist()
     out, start = [], 0
     for entity_id, end in zip(entity_ids, ends):
         tokens = tuple(toks[start:end])
@@ -946,6 +933,7 @@ def train(
     if not _is_int(seed) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     _check_max_len(max_len)
+    _check_ablation(ablation)
     if lexicon != policy.lexicon:
         raise ValueError("lexicon is not the policy's lexicon")
     if not lexicon.train_ids:

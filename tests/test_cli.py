@@ -421,7 +421,7 @@ class TestTrainCommand:
     def test_non_integer_group_size_rejected_before_prior(self, tmp_path, capsys, monkeypatch):
         task = tmp_path / "task"
         assert main(["gen", "--seed", "42", "--out", str(task)]) == 0
-        monkeypatch.setattr("entrl.cli.init_activation_prior", lambda *a, **k: pytest.fail("prior built"))
+        monkeypatch.setattr("entrl.toytask.init_activation_prior", lambda *a, **k: pytest.fail("prior built"))
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"optim": {"G": 2.5}}')
         code = main(["train", "--config", str(cfg), "--lexicon", str(task / "lexicon.json"), "--out", str(tmp_path / "o")])
@@ -431,7 +431,7 @@ class TestTrainCommand:
     def test_zero_max_len_rejected_before_prior(self, tmp_path, capsys, monkeypatch):
         task = tmp_path / "task"
         assert main(["gen", "--seed", "42", "--out", str(task)]) == 0
-        monkeypatch.setattr("entrl.cli.init_activation_prior", lambda *a, **k: pytest.fail("prior built"))
+        monkeypatch.setattr("entrl.toytask.init_activation_prior", lambda *a, **k: pytest.fail("prior built"))
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"train": {"max_len": 0}}')
         code = main(["train", "--config", str(cfg), "--lexicon", str(task / "lexicon.json"), "--out", str(tmp_path / "o")])

@@ -28,7 +28,6 @@ from entrl import (
 )
 from entrl.optim import _check_groups, _live_ratios
 from entrl.toytask import (
-    _DRAW_BLOCK,
     ToyPolicy,
     _next_tokens,
     _pcg_uniforms,
@@ -76,6 +75,15 @@ STREAM_CASES = {
 }
 
 
+def draws(streams, count):
+    """``count`` uniforms of each stream, one ``_pcg_uniforms`` call per draw."""
+    u = []
+    for _ in range(count):
+        step, streams = _pcg_uniforms(streams)
+        u.append(step)
+    return np.stack(u, axis=1)
+
+
 class TestStreams:
     @pytest.mark.parametrize("case", list(STREAM_CASES), ids=list(STREAM_CASES))
     def test_spawned_streams_are_numpys_children(self, case):
@@ -90,19 +98,14 @@ class TestStreams:
         assert streams.dtype == np.uint64
         assert streams.tobytes() == np.array(words, np.uint64).T.tobytes()
 
-        # 40 uniforms in the sampler's blocks (16, 16, 8) continue one stream.
-        blocks = []
-        for count in (_DRAW_BLOCK, _DRAW_BLOCK, 40 - 2 * _DRAW_BLOCK):
-            u, streams = _pcg_uniforms(streams, count)
-            blocks.append(u)
+        # 40 one-draw steps continue one stream.
         expected = np.stack([np.random.default_rng(c).random(40) for c in children])
-        assert np.hstack(blocks).tobytes() == expected.tobytes()
+        assert draws(streams, 40).tobytes() == expected.tobytes()
 
     def test_seed_streams_are_numpys_generators(self):
         seeds = [0, 3, 2**40, np.int64(9), (3, 1), np.random.SeedSequence((5, 6))]
-        u, _ = _pcg_uniforms(_seed_streams(seeds), 20)
         expected = np.stack([np.random.default_rng(s).random(20) for s in seeds])
-        assert u.tobytes() == expected.tobytes()
+        assert draws(_seed_streams(seeds), 20).tobytes() == expected.tobytes()
 
 
 class TestLockstepSampler:

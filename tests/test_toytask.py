@@ -569,13 +569,18 @@ class TestTrain:
                 train(LEX, small_policy(), toy_reward_config(), SMALL_OPTIM, steps=1,
                       max_len=max_len)
 
-    @pytest.mark.parametrize("max_len", [0, -3, True, 2.5])
-    def test_bad_max_len_rejected_before_the_snapshot(self, max_len):
+    @pytest.mark.parametrize(
+        "bad", [{"max_len": 0}, {"max_len": -3}, {"max_len": True}, {"max_len": 2.5},
+                {"ablation": "nope"}],
+        ids=["0", "-3", "True", "2.5", "nope"],
+    )
+    def test_bad_max_len_rejected_before_the_snapshot(self, bad):
         policy = prior_policy()
         policy.logits[0, 0, 6] += 1.0  # live parameters off the snapshot
         params_old = policy.params_old.copy()
-        with pytest.raises(ValueError, match="max_len"):
-            train(LEX, policy, toy_reward_config(), SMALL_OPTIM, steps=1, max_len=max_len)
+        (key,) = bad
+        with pytest.raises(ValueError, match=key):
+            train(LEX, policy, toy_reward_config(), SMALL_OPTIM, steps=1, **bad)
         assert policy.snapshot_version == 0
         assert policy.params_old.tobytes() == params_old.tobytes()
 
