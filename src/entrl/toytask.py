@@ -345,13 +345,6 @@ class PolicyConfig:
             raise ValueError(f"pass64_floor must be in [0, 1], got {self.pass64_floor}")
 
 
-# Rows of the live logits gathered at once by the update; bounds its
-# temporaries to a few hundred kB whatever the batch size.  Gathering a
-# whole mini-batch at once gives the same results but is slower: 10 s
-# `perfbench/run.py --workload train` runs read latency_ms_p50 41.9-42.7 ms
-# against 39.7-40.9 ms, 4 of 4 alternating pairs on a 2-vCPU VM.
-_ROW_BLOCK = 256
-
 # numpy's SeedSequence hash and PCG64 generator (numpy/random/bit_generator.pyx,
 # pcg64.h): fixed algorithms, so a batch of streams can be computed as arrays
 # and still equal numpy's own Generators draw for draw.
@@ -459,7 +452,9 @@ class ToyPolicy:
     ``params_old`` is the frozen snapshot that rollouts are sampled from.
     ``snapshot()`` refreshes it and bumps ``snapshot_version`` so stale
     rollouts can be detected.  Right after a snapshot, ``token_logps``
-    returns the log-probs that sampling records, bit for bit.
+    returns the log-probs that sampling records, bit for bit.  ``state_logps``
+    and ``accumulate_score_grad`` compute one live softmax row per distinct
+    (entity, previous token) state in a call and gather it per token.
     """
 
     def __init__(self, lexicon: SyntheticLexicon, logits: np.ndarray, temperature: float = 1.0):
@@ -479,9 +474,6 @@ class ToyPolicy:
     @property
     def n_params(self) -> int:
         return self.logits.size
-
-    def entity_index(self, entity_id: str) -> int:
-        return self.lexicon.entity_index(entity_id)
 
     def snapshot(self) -> None:
         """Freeze the current parameters as the sampling distribution."""
@@ -515,12 +507,8 @@ class ToyPolicy:
     def state_logps(self, states: np.ndarray, tokens: np.ndarray) -> np.ndarray:
         """Live log-probabilities of ``tokens[i]`` in state ``states[i]``."""
         table = self.logits.reshape(-1, self.lexicon.vocab_size)
-        out = np.empty(len(tokens))
-        for start in range(0, len(states), _ROW_BLOCK):
-            block = slice(start, start + _ROW_BLOCK)
-            logp = _log_softmax(table[states[block]] / self.temperature)
-            out[block] = logp[np.arange(len(logp)), tokens[block]]
-        return out
+        distinct, row = np.unique(states, return_inverse=True)
+        return _log_softmax(table[distinct] / self.temperature)[row, tokens]
 
     def token_logps(self, entity_id: str, tokens: tuple[int, ...]) -> np.ndarray:
         """Per-token log-probabilities of ``tokens`` for this entity's prompt
@@ -537,14 +525,13 @@ class ToyPolicy:
         """Add coeffs[i] * grad of log pi(tokens[i] | states[i]) into ``grad``
         (from ``new_grad``), row by row in the given order."""
         table = self.logits.reshape(-1, self.lexicon.vocab_size)
-        flat_grad = grad.reshape(-1, self.lexicon.vocab_size)
-        for start in range(0, len(states), _ROW_BLOCK):
-            block = slice(start, start + _ROW_BLOCK)
-            rows = table[states[block]] / self.temperature
-            shifted = np.exp(rows - rows.max(axis=-1, keepdims=True))
-            delta = -(shifted / shifted.sum(axis=-1, keepdims=True))
-            delta[np.arange(len(delta)), tokens[block]] += 1.0
-            np.add.at(flat_grad, states[block], (coeffs[block] / self.temperature)[:, None] * delta)
+        distinct, row = np.unique(states, return_inverse=True)
+        rows = table[distinct] / self.temperature
+        shifted = np.exp(rows - rows.max(axis=-1, keepdims=True))
+        delta = -(shifted / shifted.sum(axis=-1, keepdims=True))[row]
+        delta[np.arange(len(delta)), tokens] += 1.0
+        np.add.at(grad.reshape(-1, self.lexicon.vocab_size), states,
+                  (coeffs / self.temperature)[:, None] * delta)
 
     def apply_gradient(self, grad: np.ndarray, learning_rate: float) -> None:
         if grad.shape != self.logits.shape:
@@ -997,16 +984,24 @@ def save_policy(policy: ToyPolicy, path: str | Path) -> None:
 
 def load_policy(path: str | Path, lexicon: SyntheticLexicon) -> ToyPolicy:
     with np.load(path, allow_pickle=False) as data:
+        names = ("logits", "params_old", "temperature", "snapshot_version", "lexicon_digest")
+        if missing := [name for name in names if name not in data.files]:
+            raise ValueError(f"policy file lacks {', '.join(missing)}")
         # Entity ids are positional, so only the full lexicon content
         # identifies the table's row/column meaning.
         if str(data["lexicon_digest"]) != _lexicon_digest(lexicon):
             raise ValueError("policy file does not match this lexicon")
-        policy = ToyPolicy(lexicon, data["logits"], float(data["temperature"]))
+        temperature, version = data["temperature"], data["snapshot_version"]
+        if temperature.ndim or temperature.dtype.kind not in "fiu":
+            raise ValueError(f"policy file temperature must be a real scalar, got {temperature!r}")
+        if version.ndim or version.dtype.kind not in "iu" or version < 0:
+            raise ValueError(f"policy file snapshot_version must be an integer >= 0, got {version!r}")
+        policy = ToyPolicy(lexicon, data["logits"], float(temperature))
         params_old = np.asarray(data["params_old"], dtype=float)
         if params_old.shape != policy.logits.shape:
             raise ValueError(f"params_old shape {params_old.shape} != {policy.logits.shape}")
         if not (np.isfinite(policy.logits).all() and np.isfinite(params_old).all()):
             raise ValueError("policy file holds non-finite parameters")
         policy.params_old = params_old
-        policy.snapshot_version = int(data["snapshot_version"])
+        policy.snapshot_version = int(version)
     return policy

@@ -17,7 +17,7 @@ def sample_rollout_loop(policy, entity_id: str, max_len: int, seed):
 
     Returns ``(tokens, old_logp, entropies, truncated)``.
     """
-    e = policy.entity_index(entity_id)
+    e = policy.lexicon.entity_index(entity_id)
     logp_table, cum_table, ent_table = policy._old_tables()
     rng = np.random.default_rng(seed)
     tokens, logps, ents = [], [], []
@@ -35,7 +35,7 @@ def sample_rollout_loop(policy, entity_id: str, max_len: int, seed):
 
 
 def _rows(policy, entity_id: str, tokens):
-    e = policy.entity_index(entity_id)
+    e = policy.lexicon.entity_index(entity_id)
     toks = np.asarray(tokens, dtype=int)
     prevs = np.concatenate(([BOS], toks[:-1]))
     return e, toks, prevs, policy.logits[e, prevs] / policy.temperature

@@ -36,6 +36,7 @@ from entrl.toytask import (
     _spawned_streams,
 )
 from oracles.rollout_loops import (
+    _accumulate_score_grad,
     policy_update_loop,
     sample_rollout_loop,
     surrogate_loop,
@@ -261,10 +262,26 @@ class TestArrayUpdate:
 
     def test_token_logps_match_the_full_row_log_softmax(self):
         policy = random_policy(4)
-        for seed in range(20):
-            ro = sample_rollout(policy, IDS[seed % len(IDS)], 40, seed)
+        rollouts = [sample_rollout(policy, IDS[seed % len(IDS)], 40, seed) for seed in range(20)]
+        for ro in rollouts:
             got = policy.token_logps(ro.entity_id, ro.tokens)
             assert got.tobytes() == token_logps_loop(policy, ro.entity_id, ro.tokens).tobytes()
+        # One call over all rollouts, whose states repeat and are unsorted,
+        # gives each token the bytes of its own rollout's loop.
+        tokens = np.concatenate([ro.tokens for ro in rollouts])
+        lengths = [len(ro.tokens) for ro in rollouts]
+        states = policy.token_states([ro.entity_id for ro in rollouts], tokens, lengths)
+        assert len(np.unique(states)) < len(states) and (np.diff(states) < 0).any()
+        expected = np.concatenate([token_logps_loop(policy, ro.entity_id, ro.tokens)
+                                   for ro in rollouts])
+        assert policy.state_logps(states, tokens).tobytes() == expected.tobytes()
+        coeffs = np.linspace(-1.5, 2.0, len(rollouts))
+        grad = policy.new_grad()
+        policy.accumulate_score_grad(states, tokens, np.repeat(coeffs, lengths), grad)
+        expected = policy.new_grad()
+        for ro, coeff in zip(rollouts, coeffs):
+            _accumulate_score_grad(policy, ro.entity_id, ro.tokens, float(coeff), expected)
+        assert grad.tobytes() == expected.tobytes()
 
     def test_surrogate_matches_the_loop(self):
         policy, groups = update_fixture(seed=6, n_groups=5, group_size=4, zero_adv=True)

@@ -71,6 +71,10 @@ def test_name_follows_a_patch_in_its_module(monkeypatch):
     assert entrl.normalize is sys.modules["entrl.textnorm"].normalize
 
 
+def test_dir_lists_every_public_name():
+    assert set(entrl.__all__) <= set(dir(entrl))
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         entrl.no_such_name

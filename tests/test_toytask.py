@@ -247,7 +247,7 @@ class TestToyPolicy:
         before = sample_rollout(policy, ent, max_len=12, seed=2)
         policy.logits += 0.5  # uniform shift keeps softmax identical
         np.testing.assert_allclose(policy.token_logps(ent, tokens), old, atol=1e-12)
-        policy.logits[policy.entity_index(ent), BOS, 6] += 2.0
+        policy.logits[policy.lexicon.entity_index(ent), BOS, 6] += 2.0
         assert policy.token_logps(ent, tokens)[0] != pytest.approx(float(old[0]))
         # Sampling still reads the snapshot.
         after = sample_rollout(policy, ent, max_len=12, seed=2)
@@ -693,13 +693,24 @@ class TestPolicySerialization:
         ("params_old", np.full((6, 32, 33), np.nan), "shape"),
         ("params_old", np.full((6, 32, 32), np.nan), "non-finite"),
         ("logits", np.full((6, 32, 32), np.inf), "non-finite"),
+        ("temperature", np.array([1.0, 1.0]), "temperature must be a real scalar"),
+        ("temperature", np.asarray("1.0"), "temperature must be a real scalar"),
+        ("snapshot_version", np.asarray(1.5), "snapshot_version must be an integer"),
+        ("snapshot_version", np.asarray(-3), "snapshot_version must be an integer"),
+        ("snapshot_version", np.array([1]), "snapshot_version must be an integer"),
+        *[(name, None, f"lacks {name}") for name in
+          ("logits", "params_old", "temperature", "snapshot_version", "lexicon_digest")],
     ])
     def test_doctored_parameters_rejected(self, tmp_path, field, value, match):
+        # A value of None drops the array from the file.
         path = tmp_path / "policy.npz"
         save_policy(small_policy(), path)
         with np.load(path) as data:
             arrays = dict(data)
-        arrays[field] = value
+        if value is None:
+            del arrays[field]
+        else:
+            arrays[field] = value
         np.savez(path, **arrays)
         with pytest.raises(ValueError, match=match):
             load_policy(path, LEX)
