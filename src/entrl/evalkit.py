@@ -1,13 +1,14 @@
 """Evaluation estimators: pass@k, entity accuracy, chrF.
 
 pass@k uses the unbiased estimator computed from n samples per problem with
-c correct, as a numerically stable running product.  chrF is the character
+c correct, as a numerically stable running product or its log.  chrF is the character
 n-gram F-score in its original form: precision and recall are averaged
 across n-gram orders first and combined into a single F-beta at the end.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from collections import Counter
 from dataclasses import dataclass, field
@@ -32,6 +33,10 @@ def _is_int(value) -> bool:
     return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+# pass_at_k_single multiplies out at most this many factors of its product.
+EXACT_FACTORS = 10_000
+
+
 def pass_at_k_single(n: int, c: int, k: int) -> float:
     """Unbiased pass@k from n samples with c correct.
 
@@ -41,6 +46,8 @@ def pass_at_k_single(n: int, c: int, k: int) -> float:
     overflow.  The ratio is symmetric in k and c, so the product takes
     min(k, c) factors, not k.  Every factor is <= 1, so the loop stops as
     soon as 1 - product rounds to 1.0; later factors cannot change that.
+    Past ``EXACT_FACTORS`` factors, where the loop could run ~6*sqrt(n) times,
+    ``_log_miss`` gives the product's log, within ~1e-12 but not bit for bit.
 
     Args:
         n: number of samples drawn for the problem, n >= 1.
@@ -63,13 +70,35 @@ def pass_at_k_single(n: int, c: int, k: int) -> float:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if n - c < k:
         return 1.0
-    miss_prob = 1.0
     few, many = sorted((k, c))
+    if few > EXACT_FACTORS:
+        # Every factor is <= 1 - many/n, so past 40 n the product is below
+        # e**-40, which 1 - product cannot resolve.
+        return 1.0 if few * many > 40 * n else -math.expm1(_log_miss(n, many, few))
+    miss_prob = 1.0
     for j in range(few):
         miss_prob *= float(n - many - j) / float(n - j)
         if 1.0 - miss_prob == 1.0:
             break
     return 1.0 - miss_prob
+
+
+def _log_miss(n: int, many: int, few: int) -> float:
+    """log C(n-many, few)/C(n, few) = lgamma(a) - lgamma(a-few) - lgamma(b) + lgamma(b-few),
+    a = n-many+1 and b = n+1, by Stirling's lgamma(x) = (x-1/2)log(x) - x + c + 1/(12x).
+
+    Its leading terms are few*log(a/b) + chi(b) - chi(a), chi(x) = (x-few-1/2)log1p(-u)
+    + few for u = few/x, summed as a series in u so no large terms cancel.  For
+    few > EXACT_FACTORS and few*many <= 40n, n >= 2.5e6, u <= 0.004 and every
+    argument exceeds n/2, so each truncation is below 1e-20.
+    """
+    def chi(x: int) -> float:
+        u = few / x
+        return few * u * sum(u ** (i - 2) / (i * (i - 1)) for i in range(2, 10)) - 0.5 * math.log1p(-u)
+
+    a, b = n - many + 1, n + 1
+    return (few * math.log1p(-many / b) + chi(b) - chi(a)
+            + 1 / (12 * a) - 1 / (12 * (a - few)) - 1 / (12 * b) + 1 / (12 * (b - few)))
 
 
 @dataclass(frozen=True)

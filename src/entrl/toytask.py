@@ -12,7 +12,7 @@ Token sequences render to text (``t07 t11`` style) and are scored by the
 same reward pipeline used for real text, with token-unit lengths.  There is
 one sampling path (temperature strictly positive, drawn from the policy's
 frozen snapshot) and one scored-rollout loop, shared by ``train`` and
-``measure_pass_at_k``: sample, render, score.
+``measure_pass_at_k``: sample, then render and score each distinct response once.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +141,12 @@ class SyntheticLexicon:
     def token_text(self, token: int) -> str:
         width = len(str(self.vocab_size - 1))
         return f"t{token:0{width}d}"
+
+    @cached_property
+    def token_texts(self) -> tuple[str, ...]:
+        """``token_text`` of every token id, built on first use, so a lexicon
+        that is never rendered costs nothing for a large ``vocab_size``."""
+        return tuple(map(self.token_text, range(self.vocab_size)))
 
     def alias_text(self, alias: tuple[int, ...]) -> str:
         return " ".join(self.token_text(t) for t in alias)
@@ -649,20 +656,13 @@ def sample_rollout(policy: ToyPolicy, entity_id: str, max_len: int, seed) -> Rol
 
 def render_response(lexicon: SyntheticLexicon, tokens: tuple[int, ...], config: RewardConfig) -> str:
     """Render a token sequence to the text form the reward pipeline scores,
-    with ``config``'s think markers."""
-    pieces = []
-    for t in tokens:
-        if t in (BOS, EOS):
-            continue
-        if t == THINK_OPEN:
-            pieces.append(config.open_marker)
-        elif t == THINK_CLOSE:
-            pieces.append(config.close_marker)
-        elif t == SRC_MARK:
-            pieces.append("<src>")
-        else:
-            pieces.append(lexicon.token_text(t))
-    return " ".join(pieces)
+    with ``config``'s think markers and the lexicon's ``token_texts`` table
+    of ``token_text``; a token id outside the vocabulary raises ``ValueError``."""
+    texts = lexicon.token_texts
+    if tokens and not 0 <= min(tokens) <= max(tokens) < len(texts):
+        raise ValueError(f"token ids must be in [0, {len(texts)})")
+    marks = {THINK_OPEN: config.open_marker, THINK_CLOSE: config.close_marker, SRC_MARK: "<src>"}
+    return " ".join([marks.get(t) or texts[t] for t in tokens if t != BOS and t != EOS])
 
 
 def toy_reward_config() -> RewardConfig:
@@ -670,26 +670,48 @@ def toy_reward_config() -> RewardConfig:
     return RewardConfig(length_unit="tokens")
 
 
-def _scored_rollouts(
-    policy: ToyPolicy, prompts: list[tuple[str, tuple]], n: int, max_len: int,
-    config: RewardConfig, ablation: str = "full",
-) -> list[RolloutScore]:
+# The most distinct (entity_id, tokens) pairs whose score one ``train`` or
+# ``measure_pass_at_k`` call keeps; a full cache is emptied before the next pair.
+SCORE_CACHE_SIZE = 8192
+
+
+class _Scores(dict):
+    """``(breakdown, trans_len)`` of each ``(entity_id, tokens)`` pair under one reward
+    config and ablation, from ``score_response`` on first lookup: the reward is a
+    pure function of the pair.  Equal scores are held as one object, so a cached
+    pair costs only its key and a dict slot."""
+
+    def __init__(self, lexicon: SyntheticLexicon, config: RewardConfig, ablation: str = "full"):
+        super().__init__()
+        self.lexicon, self.config, self.ablation, self.distinct = lexicon, config, ablation, {}
+
+    def __missing__(self, key: tuple[str, tuple[int, ...]]) -> tuple[RewardBreakdown, int]:
+        entity_id, tokens = key
+        lex = self.lexicon
+        breakdown, seg = score_response(render_response(lex, tokens, self.config), lex.gold(entity_id),
+                                        lex.ref_lengths(entity_id), self.config, self.ablation)
+        score = (breakdown, _measured_length(seg.trans, "tokens"))
+        score = self.distinct.setdefault(score, score)
+        if len(self) >= SCORE_CACHE_SIZE:
+            self.clear()
+        self[key] = score
+        return score
+
+
+def _scored_rollouts(policy: ToyPolicy, prompts: list[tuple[str, tuple]], n: int, max_len: int,
+                     scores: _Scores) -> list[RolloutScore]:
     """Sample ``n`` rollouts for each ``(entity_id, key)`` prompt, all in one
-    lockstep batch, and score each under ``ablation``.
+    lockstep batch, and score each through ``scores``.
 
     Rollout ``i`` of a prompt draws what ``default_rng`` would from child
     ``i`` of ``SeedSequence(key)``.  Returns the scores in prompt order, then
-    sampling order.
+    sampling order.  A pair in ``scores`` (up to ``SCORE_CACHE_SIZE``, one
+    cache per call) is not rendered or scored again; its score equals a fresh one.
     """
     entity_ids = [ent_id for ent_id, _ in prompts for _ in range(n)]
     streams = _spawned_streams([key for _, key in prompts], n)
-    scored = []
-    for ro in _sample_batch(policy, entity_ids, streams, max_len):
-        raw = render_response(policy.lexicon, ro.tokens, config)
-        gold, refs = policy.lexicon.gold(ro.entity_id), policy.lexicon.ref_lengths(ro.entity_id)
-        breakdown, seg = score_response(raw, gold, refs, config, ablation)
-        scored.append(RolloutScore(ro, breakdown, _measured_length(seg.trans, "tokens")))
-    return scored
+    return [RolloutScore(ro, *scores[ro.entity_id, ro.tokens])
+            for ro in _sample_batch(policy, entity_ids, streams, max_len)]
 
 
 def measure_pass_at_k(
@@ -704,12 +726,13 @@ def measure_pass_at_k(
     """Monte Carlo pass@k over entities: n fresh samples each, then the
     unbiased estimator.  A sample counts as correct when its parsed
     translation segment matches a gold alias; gates do not apply.
-    Each entity's ``n`` samples are drawn as one lockstep batch.
+    Each entity's ``n`` samples are drawn as one lockstep batch, after ``n`` and
+    ``ks`` pass ``PassAtKInput``'s checks.  Each distinct ``(entity_id, tokens)``
+    pair is scored once per call, with up to ``SCORE_CACHE_SIZE`` pairs held.
 
     Returns the curve and the per-entity correct counts.
     """
-    if not _is_int(n) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    data = PassAtKInput(n=n, counts=(0,), ks=tuple(ks))
     if not _is_int(seed) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     entity_ids = tuple(entity_ids)
@@ -717,14 +740,14 @@ def measure_pass_at_k(
         raise ValueError("no entity ids")
     if config is None:
         config = toy_reward_config()
-    counts = []
+    counts, scores = [], _Scores(policy.lexicon, config)
     for e_idx, ent_id in enumerate(entity_ids):
         # One batch per entity: one batch for all gives the same counts, but raised
         # the train benchmark's peak_rss_mb from 45.1-45.2 to 59.5-59.6 MB (4 of 4 runs).
         prompt = (ent_id, (seed, _STREAM_EVAL, e_idx))
-        scored = _scored_rollouts(policy, [prompt], n, max_len, config)
+        scored = _scored_rollouts(policy, [prompt], n, max_len, scores)
         counts.append(sum(s.breakdown.match for s in scored))
-    curve = pass_at_k_curve(PassAtKInput(n=n, counts=tuple(counts), ks=tuple(ks)))
+    curve = pass_at_k_curve(replace(data, counts=tuple(counts)))
     return curve, tuple(counts)
 
 
@@ -911,6 +934,8 @@ def train(
     Metrics row ``s`` describes the rollouts sampled at step ``s`` before
     that step's update; ``steps=0`` emits a single measurement-only row.
     ``final_rollouts`` is the last step's list of scored rollouts.
+    Each distinct ``(entity_id, tokens)`` pair is scored once per call, across
+    steps, with up to ``SCORE_CACHE_SIZE`` pairs held.
 
     Every random choice derives from ``seed`` through tagged substreams,
     so identical calls produce identical metrics and parameters.
@@ -930,6 +955,7 @@ def train(
     train_ids = np.asarray(lexicon.train_ids)
 
     metrics: list[TrainMetricsRow] = []
+    scores = _Scores(lexicon, reward_cfg, ablation)
     measure_only = steps == 0
     for step in range(max(steps, 1)):
         policy.snapshot()
@@ -941,7 +967,7 @@ def train(
         size = optim_cfg.group_size
         prompts = [(str(ent_id), (seed, _STREAM_ROLLOUT, step, p_idx))
                    for p_idx, ent_id in enumerate(batch)]
-        scored = _scored_rollouts(policy, prompts, size, max_len, reward_cfg, ablation)
+        scored = _scored_rollouts(policy, prompts, size, max_len, scores)
         groups = []
         for p_idx, (ent_id, _) in enumerate(prompts):
             members = [GroupMember(s.rollout.tokens, s.rollout.old_logp, s.breakdown.reward)

@@ -1,8 +1,11 @@
 """Estimator correctness: pass@k against exhaustive enumeration, chrF
 against hand-derived rational values, entity accuracy arithmetic."""
 
+import math
 import random
+import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +19,15 @@ from entrl import (
     pass_at_k_curve,
     pass_at_k_single,
 )
+from entrl.evalkit import EXACT_FACTORS
 from oracles.passk_enum import pass_at_k_exhaustive
+
+
+def log_space_reference(n, c, k):
+    """1 - C(n-c, k)/C(n, k) from the exactly rounded sum of the product's log factors."""
+    few, many = sorted((k, c))
+    terms = np.log1p(-many / (n - np.arange(few, dtype=float)))
+    return -math.expm1(math.fsum(terms.tolist()))
 
 
 class TestPassAtKSingle:
@@ -68,6 +79,32 @@ class TestPassAtKSingle:
                     miss_prob *= float(n - max(k, c) - j) / float(n - j)
                 expected = 1.0 - miss_prob
             assert pass_at_k_single(n, c, k).hex() == expected.hex(), (n, c, k)
+
+    @pytest.mark.parametrize("n,c,k", [
+        (10**11, 2 * 10**6, 2 * 10**6),
+        (10**12, 10**6, 10**6),
+        (10**10, 10**5, 2 * 10**4),
+        (10**9, 2 * 10**4, 3 * 10**4),
+        (3 * 10**6, EXACT_FACTORS + 1, EXACT_FACTORS + 1),
+        (10**15, 10**5, 10**5),
+    ])
+    def test_many_factors_agree_with_a_log_space_reference(self, n, c, k):
+        t0 = time.perf_counter()
+        value = pass_at_k_single(n, c, k)
+        assert time.perf_counter() - t0 < 0.05  # the product loop took 0.39 s on the first case
+        assert abs(value - log_space_reference(n, c, k)) < 1e-12
+
+    def test_closed_form_matches_the_product_past_the_threshold(self):
+        rng = random.Random(3)
+        for _ in range(20):
+            few = rng.randint(EXACT_FACTORS + 1, EXACT_FACTORS + 2000)
+            many = rng.randint(few, 4 * few)
+            n = few + many + int(few * many / rng.uniform(0.01, 40.0))
+            miss_prob = 1.0
+            for j in range(few):
+                miss_prob *= float(n - many - j) / float(n - j)
+            for c, k in ((few, many), (many, few)):
+                assert abs(pass_at_k_single(n, c, k) - (1.0 - miss_prob)) < 1e-12, (n, c, k)
 
     @pytest.mark.parametrize("n,c,k", [(0, 0, 1), (4, -1, 1), (4, 5, 1), (4, 2, 0), (4, 2, 5),
                                        (4.5, 1, 1), (4, 1.0, 1), (4, 1, 2.0), (True, True, True)])

@@ -10,6 +10,7 @@ import hashlib
 
 import numpy as np
 
+import entrl.toytask as toytask
 from entrl import (
     OptimConfig,
     PolicyConfig,
@@ -31,7 +32,7 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def test_short_training_run_matches_golden_digests(tmp_path):
+def _training_run_digests(tmp_path) -> tuple[str, str, str]:
     lexicon = gen_lexicon(seed=42, n_entities=20, vocab_size=48)
     policy = init_activation_prior(lexicon, PolicyConfig(), target_pass1_max=0.10, seed=5)
     result = train(
@@ -42,7 +43,16 @@ def test_short_training_run_matches_golden_digests(tmp_path):
     save_policy(result.policy, tmp_path / "policy.npz")
     with np.load(tmp_path / "policy.npz", allow_pickle=False) as data:
         logits, params_old = data["logits"], data["params_old"]
+    return (_sha256((tmp_path / "metrics.csv").read_bytes()),
+            _sha256(np.ascontiguousarray(logits).tobytes()),
+            _sha256(np.ascontiguousarray(params_old).tobytes()))
 
-    assert _sha256((tmp_path / "metrics.csv").read_bytes()) == METRICS_SHA256
-    assert _sha256(np.ascontiguousarray(logits).tobytes()) == LOGITS_SHA256
-    assert _sha256(np.ascontiguousarray(params_old).tobytes()) == PARAMS_OLD_SHA256
+
+def test_short_training_run_matches_golden_digests(tmp_path):
+    assert _training_run_digests(tmp_path) == (METRICS_SHA256, LOGITS_SHA256, PARAMS_OLD_SHA256)
+
+
+def test_score_cache_of_one_pair_keeps_the_digests(tmp_path, monkeypatch):
+    # The cache is emptied before nearly every rollout's score is stored.
+    monkeypatch.setattr(toytask, "SCORE_CACHE_SIZE", 1)
+    assert _training_run_digests(tmp_path) == (METRICS_SHA256, LOGITS_SHA256, PARAMS_OLD_SHA256)

@@ -20,10 +20,12 @@ from entrl import (
     toy_reward_config,
     train,
 )
+from entrl.reward import ABLATIONS, score_response
 from entrl.toytask import (
     BOS,
     EOS,
     FILLER,
+    SRC_MARK,
     THINK_CLOSE,
     THINK_OPEN,
     ToyPolicy,
@@ -165,6 +167,21 @@ class TestSyntheticLexicon:
         again = SyntheticLexicon.from_dict(LEX.to_dict())
         assert again == LEX and hash(again) == hash(LEX)
         assert repr(again) == repr(LEX) and "golds" not in repr(LEX)
+        assert LEX.token_texts == tuple(map(LEX.token_text, range(LEX.vocab_size)))
+        assert "token_texts" not in repr(LEX)
+
+    def test_vocabulary_size_costs_no_memory_until_rendered(self):
+        import tracemalloc
+
+        doc = {**LEX.to_dict(), "vocab_size": 10**6}
+        tracemalloc.start()
+        try:
+            big = SyntheticLexicon.from_dict(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # a table of 10**6 token texts takes ~65 MB
+        assert big.entities == LEX.entities and big.vocab_size == 10**6
 
     @pytest.mark.parametrize("where, value", [
         (("vocab_size",), 32.0),
@@ -352,6 +369,14 @@ class TestSampleRollout:
         assert c.tokens == sample_rollout(policy, ent, max_len=12, seed=3).tokens
 
 
+def format_response(lexicon, tokens, config):
+    """The f-string rendering that ``render_response``'s token table replaced."""
+    width = len(str(lexicon.vocab_size - 1))
+    marks = {THINK_OPEN: config.open_marker, THINK_CLOSE: config.close_marker, SRC_MARK: "<src>"}
+    return " ".join(marks[t] if t in marks else f"t{t:0{width}d}"
+                    for t in tokens if t not in (BOS, EOS))
+
+
 class TestRenderResponse:
     def test_markers_and_spacing(self):
         tokens = (BOS, THINK_OPEN, FILLER, THINK_CLOSE, 6, 7, EOS)
@@ -362,6 +387,22 @@ class TestRenderResponse:
         cfg = RewardConfig(length_unit="tokens", open_marker="[[", close_marker="]]")
         tokens = (THINK_OPEN, THINK_CLOSE, 8, EOS)
         assert render_response(LEX, tokens, cfg) == "[[ ]] t08"
+
+    @pytest.mark.parametrize("vocab_size", [48, 1001, 1500])
+    @pytest.mark.parametrize("markers", [("<think>", "</think>"), ("[[", "]]"), ("<r>", "</r>")])
+    def test_same_text_as_formatting_each_token(self, vocab_size, markers):
+        lex = gen_lexicon(seed=3, n_entities=4, vocab_size=vocab_size)
+        cfg = RewardConfig(length_unit="tokens", open_marker=markers[0], close_marker=markers[1])
+        rng = np.random.default_rng(vocab_size)
+        cases = [(), (BOS, EOS), (SRC_MARK, 9, THINK_OPEN, FILLER, THINK_CLOSE, vocab_size - 1, EOS),
+                 *(tuple(rng.integers(0, vocab_size, size=12).tolist()) for _ in range(50))]
+        for tokens in cases:
+            assert render_response(lex, tokens, cfg) == format_response(lex, tokens, cfg)
+
+    @pytest.mark.parametrize("tokens", [(6, 32), (-1, 6), (THINK_OPEN, 10**6)])
+    def test_rejects_tokens_outside_the_vocabulary(self, tokens):
+        with pytest.raises(ValueError, match="token ids"):
+            render_response(LEX, tokens, toy_reward_config())
 
     def test_round_trip_through_reward(self):
         # A rendered well-formed sequence passes the strict parser.
@@ -405,6 +446,11 @@ class TestMeasurePassAtK:
         {"seed": True},
         {"seed": 1.0},
         {"seed": -1},
+        {"ks": (0,)},
+        {"ks": (1, 9)},
+        {"ks": ()},
+        {"ks": (1.5,)},
+        {"ks": (True,)},
     ])
     def test_rejects_bad_values(self, kwargs, monkeypatch):
         # Rejected before any rollout is sampled.
@@ -414,9 +460,9 @@ class TestMeasurePassAtK:
             raise AssertionError("sampled before rejecting")
 
         monkeypatch.setattr(toytask, "_sample_batch", no_sampling)
-        args = {"entity_ids": LEX.train_ids[:2], "n": 8, "seed": 0, **kwargs}
+        args = {"entity_ids": LEX.train_ids[:2], "n": 8, "ks": (1,), "seed": 0, **kwargs}
         with pytest.raises(ValueError):
-            measure_pass_at_k(small_policy(), ks=(1,), **args)
+            measure_pass_at_k(small_policy(), **args)
 
     def test_memory_grows_with_tokens_emitted_not_max_len(self):
         # The prior's rollouts end at EOS within a few tokens; a sampler that
@@ -653,6 +699,58 @@ class TestTrain:
             reward_sum += score.breakdown.reward
         assert trans_len_sum / len(final) == res.metrics[-1].mean_trans_length
         assert reward_sum / len(final) == res.metrics[-1].mean_reward
+
+
+def counted_scorer(monkeypatch):
+    """Replace the scorer ``train`` uses with one that records each pair it scores."""
+    import entrl.toytask as toytask
+
+    seen = []
+
+    def scorer(raw, gold, ref_lengths, config, ablation="full"):
+        seen.append((gold.entity_id, raw))
+        return score_response(raw, gold, ref_lengths, config, ablation)
+
+    monkeypatch.setattr(toytask, "score_response", scorer)
+    return seen
+
+
+class TestScoreCache:
+    @pytest.mark.parametrize("ablation", ABLATIONS)
+    def test_cached_scores_equal_fresh_ones(self, ablation, monkeypatch):
+        seen = counted_scorer(monkeypatch)
+        cfg = toy_reward_config()
+        res = train(LEX, prior_policy(), cfg, SMALL_OPTIM, steps=6, ablation=ablation, seed=5)
+        assert len(seen) < 6 * len(res.final_rollouts)  # some rollouts were cache hits
+        for s in res.final_rollouts:
+            ent = s.entity_id
+            breakdown, seg = score_response(render_response(LEX, s.rollout.tokens, cfg),
+                                            LEX.gold(ent), LEX.ref_lengths(ent), cfg, ablation)
+            assert s.breakdown == breakdown
+            assert s.trans_len == len(seg.trans.split())
+
+    def test_one_score_per_distinct_pair_of_a_step(self, monkeypatch):
+        seen = counted_scorer(monkeypatch)
+        optim = OptimConfig(group_size=16, mini_batch_size=4, updates_per_batch=2)
+        res = train(LEX, prior_policy(), toy_reward_config(), optim, steps=1, seed=5)
+        pairs = {(s.entity_id, s.rollout.tokens) for s in res.final_rollouts}
+        assert len(pairs) < len(res.final_rollouts)
+        assert len(seen) == len(set(seen)) == len(pairs)
+
+    def test_equal_scores_are_one_object(self):
+        res = train(LEX, prior_policy(), toy_reward_config(), SMALL_OPTIM, steps=4, seed=5)
+        by_value = {}
+        for s in res.final_rollouts:
+            assert by_value.setdefault((s.breakdown, s.trans_len), s.breakdown) is s.breakdown
+        assert len(by_value) < len(res.final_rollouts)
+
+    def test_measure_pass_at_k_counts_unchanged_by_the_bound(self, monkeypatch):
+        import entrl.toytask as toytask
+
+        policy = prior_policy()
+        kept = measure_pass_at_k(policy, LEX.train_ids, n=64, ks=(1, 8), seed=2)
+        monkeypatch.setattr(toytask, "SCORE_CACHE_SIZE", 1)
+        assert measure_pass_at_k(policy, LEX.train_ids, n=64, ks=(1, 8), seed=2) == kept
 
 
 class TestMetricsCsv:
