@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -17,8 +18,8 @@ from pathlib import Path
 
 from .evalkit import PassAtKInput, _is_int, pass_at_k_curve
 from .reward import ABLATIONS, RewardConfig, _check_ablation
-from .scoring import (RecordError, RewardService, _encode_reply, decode_line, score_lines,
-                      serve_stdio, summarize)
+from .scoring import (RecordError, RewardService, _encode_reply, _read_lines, decode_line,
+                      score_lines, serve_stdio, summarize)
 
 __all__ = ["main", "CliError"]
 
@@ -98,20 +99,37 @@ def optim_config_from(doc: dict):
         raise CliError(f"bad optim config: {exc}") from None
 
 
+def _reads(src, path: str):
+    """``_read_lines(src)``, with a read error reported as a ``CliError``."""
+    try:
+        yield from _read_lines(src)
+    except OSError as exc:
+        raise CliError(f"cannot read {path!r}: {exc}") from None
+
+
 def cmd_score(args: argparse.Namespace) -> int:
+    """Score the input read by read; an empty input creates no output file."""
     config = reward_config_from(load_config(args.config))
     try:
-        with open(args.input, "rb") as lines:
-            replies, breakdowns = score_lines(lines, config)
+        src = open(args.input, "rb")
     except OSError as exc:
         raise CliError(f"cannot read {args.input!r}: {exc}") from None
-    if not replies:
-        raise CliError(f"input {args.input!r} is empty")
-    try:
-        with open(args.output, "wb") as out:
-            out.writelines(map(_encode_reply, replies))
-    except OSError as exc:
-        raise CliError(f"cannot write {args.output!r}: {exc}") from None
+    breakdowns: list = []
+    with src:
+        reads = _reads(src, args.input)
+        first = next(reads, None)
+        if first is None:
+            raise CliError(f"input {args.input!r} is empty")
+        n_lines = 0
+        try:
+            with open(args.output, "wb") as out:
+                for lines in itertools.chain((first,), reads):
+                    replies, scored = score_lines(lines, config, start=n_lines + 1)
+                    n_lines += len(lines)
+                    breakdowns += scored
+                    out.write(b"".join(map(_encode_reply, replies)))
+        except OSError as exc:
+            raise CliError(f"cannot write {args.output!r}: {exc}") from None
     print(json.dumps(summarize(breakdowns).to_dict(), ensure_ascii=False))
     return 0
 
@@ -129,23 +147,39 @@ def _parse_bind(bind: str) -> tuple[str, int]:
     return host, port_no
 
 
+def _interrupt(signum, frame):
+    raise KeyboardInterrupt
+
+
 def cmd_serve(args: argparse.Namespace) -> int:
     config = reward_config_from(load_config(args.config))
     if args.stdio:
-        serve_stdio(config, sys.stdin.buffer, sys.stdout.buffer)
+        try:
+            serve_stdio(config, sys.stdin.buffer, sys.stdout.buffer)
+        except BrokenPipeError:
+            # The reader hung up.  Point stdout at devnull so that the flush
+            # at interpreter exit does not fail a second time.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return 0
     host, port = _parse_bind(args.bind)
     try:
         server = RewardService((host, port), config)
     except OSError as exc:
         raise CliError(f"cannot bind {args.bind!r}: {exc}") from None
-    bound = server.server_address
-    print(json.dumps({"listening": f"{bound[0]}:{bound[1]}"}), flush=True)
+    import signal  # here, so that score and serve --stdio start without it
+
+    # SIGTERM takes the KeyboardInterrupt path: close the socket, exit 0.
+    previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
+        bound = server.server_address
+        print(json.dumps({"listening": f"{bound[0]}:{bound[1]}"}), flush=True)
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
+        signal.signal(signal.SIGTERM, previous)
         server.server_close()
     return 0
 

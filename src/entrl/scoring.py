@@ -7,12 +7,18 @@ format over a TCP stream socket (or stdin/stdout) and is stateless; batch
 and service paths both score each line with ``score_line`` and write it with
 ``_encode_reply``, so they agree field for field and error text for error
 text.
+
+Both read through ``_read_lines``, one bounded read at a time, and write a
+read's replies together.  A line longer than ``MAX_LINE_BYTES`` gets one
+error reply and is dropped as it arrives, so a connection holds at most the
+read buffer plus ``MAX_LINE_BYTES``.
 """
 
 from __future__ import annotations
 
 import json
 import socketserver
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 from .evalkit import _is_int, entity_accuracy
@@ -34,6 +40,10 @@ __all__ = [
 # Largest accepted ref_lengths entry; far above any real reference, and it
 # keeps the mean reference length a finite float.
 MAX_REF_LENGTH = 10**9
+# Longest input line scored, newline excluded.
+MAX_LINE_BYTES = 1 << 20
+# Size of the buffer each read fills.
+READ_BYTES = 1 << 14
 
 
 class RecordError(ValueError):
@@ -136,29 +146,34 @@ def summarize(breakdowns: list[RewardBreakdown]) -> ScoreSummary:
     )
 
 
-def score_line(raw: bytes | str, config: RewardConfig) -> tuple[dict, RewardBreakdown | None]:
+def score_line(raw: bytes | str | None, config: RewardConfig) -> tuple[dict, RewardBreakdown | None]:
     """Score one raw line, with or without its trailing newline.
 
     Exactly one trailing ``\\n`` is dropped before decoding, so a line gets
-    the same reply however it was framed.  Returns the reply and breakdown,
-    or ``({"id", "error"}, None)`` for a bad line; the id is echoed when the
-    line decoded to an object holding a string id.
+    the same reply however it was framed; ``None`` stands for a line that
+    ``_read_lines`` dropped as longer than ``MAX_LINE_BYTES``.  Returns the
+    reply and breakdown, or ``({"id", "error"}, None)`` for a bad line; the
+    id is echoed when the line decoded to an object holding a string id.
     """
-    raw = raw.removesuffix(b"\n" if isinstance(raw, bytes) else "\n")
     record = None
     try:
-        record = decode_line(raw)
+        if raw is None:
+            raise RecordError(f"line longer than {MAX_LINE_BYTES} bytes")
+        record = decode_line(raw.removesuffix(b"\n" if isinstance(raw, bytes) else "\n"))
         return score_record(record, config)
     except RecordError as exc:
         rid = record.get("id") if record is not None else None
         return {"id": rid if isinstance(rid, str) else None, "error": str(exc)}, None
 
 
-def score_lines(lines, config: RewardConfig) -> tuple[list[dict], list[RewardBreakdown]]:
-    """Score raw lines, such as an open binary file; errors become positional error objects."""
+def score_lines(lines, config: RewardConfig, start: int = 1) -> tuple[list[dict], list[RewardBreakdown]]:
+    """Score raw lines, such as an open binary file; errors become positional error objects.
+
+    ``start`` is the line number of the first line.
+    """
     replies: list[dict] = []
     breakdowns: list[RewardBreakdown] = []
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(lines, start=start):
         reply, breakdown = score_line(raw, config)
         if breakdown is None:
             reply = {"line": lineno, "error": reply["error"]}
@@ -168,15 +183,62 @@ def score_lines(lines, config: RewardConfig) -> tuple[list[dict], list[RewardBre
     return replies, breakdowns
 
 
+# One encoder for every reply: json.dumps with a non-default option builds a
+# new JSONEncoder on each call.
+_REPLY_JSON = json.JSONEncoder(ensure_ascii=False)
+
+
 def _encode_reply(reply: dict) -> bytes:
     # An id may hold a lone surrogate (from a "\ud800" escape); it goes back
     # out as the same JSON escape instead of failing to encode.
-    return json.dumps(reply, ensure_ascii=False).encode("utf-8", "backslashreplace") + b"\n"
+    return _REPLY_JSON.encode(reply).encode("utf-8", "backslashreplace") + b"\n"
+
+
+def _read_lines(in_stream) -> Iterator[list[bytes | None]]:
+    """Yield the lines that each read of a binary stream completes, one list per read.
+
+    Each read fills one buffer through ``readinto1`` (a raw stream's
+    ``readinto``).  Lines come without their newline, a last line with none
+    at end of input, and a line longer than ``MAX_LINE_BYTES`` as one
+    ``None`` when it ends.
+    """
+    buf = bytearray(READ_BYTES)
+    view = memoryview(buf)
+    read = getattr(in_stream, "readinto1", None) or in_stream.readinto
+    head = bytearray()   # the start of a line that earlier reads brought
+    overlong = False     # the current line is past MAX_LINE_BYTES
+    while n := read(view):
+        lines: list[bytes | None] = view[:n].tobytes().split(b"\n")
+        tail = lines.pop()
+        if lines:
+            if overlong or len(head) + len(lines[0]) > MAX_LINE_BYTES:
+                lines[0] = None
+            elif head:
+                head += lines[0]
+                lines[0] = bytes(head)
+            head.clear()
+            overlong = False
+            if n > MAX_LINE_BYTES:   # only then can a later line of this read be too long
+                lines[1:] = [None if len(line) > MAX_LINE_BYTES else line for line in lines[1:]]
+            yield lines
+        if overlong or len(head) + len(tail) > MAX_LINE_BYTES:
+            overlong = True
+            head.clear()
+        else:
+            head += tail
+    if overlong or head:
+        yield [None if overlong else bytes(head)]
 
 
 class _LineHandler(socketserver.StreamRequestHandler):
+    disable_nagle_algorithm = True
+    rbufsize = 0   # a raw socket reader: _read_lines has its own buffer
+
     def handle(self) -> None:
-        serve_stdio(self.server.reward_config, self.rfile, self.wfile)
+        try:
+            serve_stdio(self.server.reward_config, self.rfile, self.wfile)
+        except ConnectionError:  # the client hung up or reset; only its connection ends
+            pass
 
 
 class RewardService(socketserver.ThreadingTCPServer):
@@ -196,7 +258,11 @@ class RewardService(socketserver.ThreadingTCPServer):
 
 
 def serve_stdio(config: RewardConfig, in_stream, out_stream) -> None:
-    """Serve the same line protocol over a pair of byte streams."""
-    for raw in in_stream:
-        out_stream.write(_encode_reply(score_line(raw, config)[0]))
+    """Serve the same line protocol over a pair of byte streams.
+
+    The replies to the lines of one read go out in one ``write`` and one
+    ``flush``.
+    """
+    for lines in _read_lines(in_stream):
+        out_stream.write(b"".join([_encode_reply(score_line(raw, config)[0]) for raw in lines]))
         out_stream.flush()

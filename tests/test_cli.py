@@ -2,8 +2,12 @@
 
 import io
 import json
+import os
+import random
 import re
+import signal
 import socket
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -20,6 +24,9 @@ from entrl import (
     score_lines,
 )
 from entrl.cli import CONFIG_ENV_VAR, load_config, main, optim_config_from, reward_config_from
+from entrl.scoring import MAX_LINE_BYTES
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(autouse=True)
@@ -41,6 +48,32 @@ def score_record_obj(rid, response, aliases=("Munich",), ref_lengths=(6,)):
 
 
 GOOD = "<think> recall </think> munich"
+
+
+def entrl_process(*args, unbuffered=True, **kwargs) -> subprocess.Popen:
+    """The real ``entrl`` command as a child process, importing this checkout."""
+    env = {k: v for k, v in os.environ.items() if k not in (CONFIG_ENV_VAR, "PYTHONUNBUFFERED")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "entrl", *args], env=env, **kwargs)
+
+
+def mixed_lines(n, seed):
+    """n input lines: mostly records, and every kind of bad line, one of them overlong."""
+    rng = random.Random(seed)
+    bad = [b"{broken json", b"\xff\xfe not utf-8", b"", b"   ", b"[1, 2]", b'{"id": "x", "response": 3}',
+           json.dumps(score_record_obj("y", GOOD, aliases=())).encode(), b"x" * (MAX_LINE_BYTES + 1)]
+    lines = []
+    for i in range(n):
+        if rng.random() < 0.1:
+            lines.append(bad[i % len(bad)])
+            continue
+        response = rng.choice([GOOD, "no markers", "<think> p </think> münchen", "<think> a </think> " + "b " * 30])
+        rec = score_record_obj(f"r{i}", response, aliases=rng.choice([("Munich",), ("München", "Munich")]))
+        line = json.dumps(rec, ensure_ascii=rng.random() < 0.5).encode()
+        lines.append(line + b"\r" * (rng.random() < 0.2))
+    return lines
 
 
 class TestConfigHandling:
@@ -194,6 +227,7 @@ class TestScoreCommand:
         code = main(["score", "--input", str(inp), "--output", str(tmp_path / "o")])
         assert code == 1
         assert "is empty" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_input_is_fatal(self, tmp_path, capsys):
         code = main(["score", "--input", str(tmp_path / "nope"), "--output", str(tmp_path / "o")])
@@ -223,6 +257,64 @@ class TestServeCommand:
         replies = [json.loads(l) for l in fake_out.buffer.getvalue().splitlines()]
         batch, _ = score_lines(raw.splitlines(), RewardConfig())
         assert replies == batch
+
+    def test_stdio_process_matches_score_command(self, tmp_path):
+        # The real stdout of serve --stdio, unbuffered as the environment may
+        # ask, against entrl score on the same lines, the last without a newline.
+        lines = mixed_lines(1000, seed=8)
+        data = b"\n".join(lines)
+        inp, out = tmp_path / "in.jsonl", tmp_path / "out.jsonl"
+        inp.write_bytes(data)
+        with entrl_process("score", "--input", str(inp), "--output", str(out),
+                           stdout=subprocess.PIPE) as score:
+            score.communicate(timeout=120)
+        assert score.returncode == 0
+        with entrl_process("serve", "--stdio", stdin=subprocess.PIPE, stdout=subprocess.PIPE) as serve:
+            served, _ = serve.communicate(data, timeout=120)
+        assert serve.returncode == 0
+        batch = out.read_bytes().split(b"\n")
+        served = served.split(b"\n")
+        assert batch.pop() == served.pop() == b""
+        assert len(batch) == len(served) == len(lines)
+        errors = 0
+        for raw_batch, raw_served in zip(batch, served):
+            reply = json.loads(raw_batch)
+            if "error" in reply:
+                errors += 1
+                assert json.loads(raw_served)["error"] == reply["error"]
+            else:
+                assert raw_served == raw_batch
+        assert errors > 50
+        assert json.loads(batch[lines.index(b"x" * (MAX_LINE_BYTES + 1))])["error"] == (
+            f"line longer than {MAX_LINE_BYTES} bytes")
+
+    # Buffered, 5 replies stay in the stdout buffer when the flush fails and
+    # 100 are written past it; unbuffered, each write fails at once.
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    @pytest.mark.parametrize("n_lines", [5, 100])
+    def test_stdio_exits_quietly_when_stdout_closes(self, unbuffered, n_lines):
+        with entrl_process("serve", "--stdio", unbuffered=unbuffered, stdin=subprocess.PIPE,
+                           stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            proc.stdout.close()
+            try:
+                proc.stdin.write(b"".join(json.dumps(score_record_obj(f"r{i}", GOOD)).encode() + b"\n"
+                                          for i in range(n_lines)))
+                proc.stdin.close()
+            except BrokenPipeError:
+                pass
+            assert proc.wait(timeout=30) == 0
+            assert proc.stderr.read() == b""
+
+    def test_sigterm_stops_the_tcp_server_with_exit_0(self):
+        with entrl_process("serve", "--bind", "127.0.0.1:0", stdout=subprocess.PIPE,
+                           stderr=subprocess.PIPE) as proc:
+            try:
+                assert "listening" in json.loads(proc.stdout.readline())
+                proc.send_signal(signal.SIGTERM)
+                assert proc.wait(timeout=5) == 0
+                assert proc.stderr.read() == b""
+            finally:
+                proc.kill()
 
     @pytest.mark.parametrize("bind", ["nohost", ":8000", "127.0.0.1:notaport", "127.0.0.1:70000", "127.0.0.1:-1"])
     def test_bad_bind(self, bind, capsys):

@@ -1,9 +1,14 @@
 """Record scoring, batch summaries, and the line-protocol service."""
 
 import io
+import itertools
 import json
 import socket
+import struct
+import sys
 import threading
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +25,8 @@ from entrl import (
     serve_stdio,
     summarize,
 )
-from entrl.scoring import MAX_REF_LENGTH
+from entrl import scoring
+from entrl.scoring import MAX_LINE_BYTES, MAX_REF_LENGTH, READ_BYTES
 
 CFG = RewardConfig()
 
@@ -284,6 +290,48 @@ def test_deeply_nested_line_gets_one_error_reply():
         assert served == [{"id": rid, "error": replies[0]["error"]}, expected]
 
 
+class ChoppedStream(io.RawIOBase):
+    """A raw stream whose reads return at most the given lengths, in turn."""
+
+    def __init__(self, data: bytes, sizes):
+        self.data, self.sizes, self.pos = data, itertools.cycle(sizes), 0
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        n = min(len(buf), next(self.sizes), len(self.data) - self.pos)
+        buf[:n] = self.data[self.pos:self.pos + n]
+        self.pos += n
+        return n
+
+
+class CountingWriter:
+    """An unbuffered writer that keeps each write and counts flushes."""
+
+    def __init__(self):
+        self.writes, self.flushes = [], 0
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        return len(data)
+
+    def flush(self):
+        self.flushes += 1
+
+
+def assert_served(served: bytes, replies: list) -> None:
+    """One reply line per batch reply: the same scored reply, or the same error text."""
+    lines = served.split(b"\n")
+    assert lines.pop() == b""
+    assert len(lines) == len(replies)
+    for lineno, (batch, reply) in enumerate(zip(replies, map(json.loads, lines)), start=1):
+        if "error" in batch:
+            assert batch["line"] == lineno and reply["error"] == batch["error"]
+        else:
+            assert reply == batch
+
+
 # Text with any code point, lone surrogates included (json.dumps escapes them),
 # and a few strings that get records deep into the scoring path.
 _text = st.text(st.characters(exclude_categories=()), max_size=12) | st.sampled_from(
@@ -293,35 +341,76 @@ _json_values = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_text, inner, max_size=4),
     max_leaves=12,
 )
-_json_lines = st.fixed_dictionaries({}, optional={
+_json_objects = st.fixed_dictionaries({}, optional={
     "id": _json_values,
     "response": _json_values,
     "gold_aliases": st.lists(_text, max_size=3) | _json_values,
     "ref_lengths": st.lists(st.integers(-(10**400), 10**400), max_size=3) | _json_values,
     "refs": st.lists(_text, max_size=3) | _json_values,
-}).map(lambda obj: json.dumps(obj).encode())
+})
+_json_lines = _json_objects.map(lambda obj: json.dumps(obj).encode())
+# Unescaped non-ASCII, so reads can split multi-byte sequences.
+_utf8_json_lines = _json_objects.map(
+    lambda obj: json.dumps(obj, ensure_ascii=False).encode("utf-8", "surrogatepass"))
 _byte_lines = st.binary(max_size=48).map(lambda raw: raw.replace(b"\n", b""))
+# Some lines end in \r, so the framing puts \r\n pairs that reads can split.
+_lines = st.tuples(_byte_lines | _json_lines | _utf8_json_lines, st.booleans()).map(
+    lambda pair: pair[0] + b"\r" * pair[1])
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_byte_lines | _json_lines, max_size=8))
-@example([b"abc\xe2\x82"])  # truncated UTF-8: its error text must not depend on the newline
-def test_every_line_gets_exactly_one_reply(lines):
+@given(lines=st.lists(_lines, max_size=8), sizes=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+       final_newline=st.booleans(), max_line=st.sampled_from((None, 0, 1, 7, 30)))
+# Truncated UTF-8: its error text must not depend on the newline.
+@example(lines=[b"abc\xe2\x82"], sizes=[64], final_newline=True, max_line=None)
+def test_every_line_gets_exactly_one_reply(lines, sizes, final_newline, max_line):
     replies, _ = score_lines(lines, CFG)
     assert len(replies) == len(lines)
     framed = b"".join(line + b"\n" for line in lines)
     assert score_lines(io.BytesIO(framed), CFG)[0] == replies
     out = io.BytesIO()
     serve_stdio(CFG, io.BytesIO(framed), out)
-    served = out.getvalue().split(b"\n")
-    assert served.pop() == b""
-    assert len(served) == len(lines)
     # Batch and service give the same scored reply, or the same error text.
-    for lineno, (batch, reply) in enumerate(zip(replies, map(json.loads, served)), start=1):
-        if "error" in batch:
-            assert batch["line"] == lineno and reply["error"] == batch["error"]
-        else:
-            assert reply == batch
+    assert_served(out.getvalue(), replies)
+
+    # Reads of the drawn lengths split lines, UTF-8 sequences and \r\n pairs,
+    # a non-empty last line may end without a newline, and with a small
+    # bound some lines are overlong.
+    if not final_newline and lines and lines[-1]:
+        framed = framed[:-1]
+    with mock.patch.object(scoring, "MAX_LINE_BYTES", MAX_LINE_BYTES if max_line is None else max_line):
+        bounded = [None if len(line) > scoring.MAX_LINE_BYTES else line for line in lines]
+        expected, _ = score_lines(bounded, CFG)
+        out = io.BytesIO()
+        serve_stdio(CFG, ChoppedStream(framed, sizes), out)
+    assert_served(out.getvalue(), expected)
+
+
+def test_overlong_lines_get_one_error_reply_each(monkeypatch):
+    monkeypatch.setattr(scoring, "MAX_LINE_BYTES", 40)
+    short = b'{"id": "s"}'
+    lines = [short, b"x" * 41, b"y" * 40, b"z" * 500, short, b"w" * 41]
+    framed = b"\n".join(lines)   # the last, overlong line has no newline
+    too_long = {"id": None, "error": "line longer than 40 bytes"}
+    for sizes in ([READ_BYTES], [1], [3, 17], [41, 40]):
+        out = io.BytesIO()
+        serve_stdio(CFG, ChoppedStream(framed, sizes), out)
+        replies = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert len(replies) == 6
+        assert replies[1] == replies[3] == replies[5] == too_long
+        assert replies[2]["error"].startswith("invalid JSON")
+        assert replies[0] == replies[4] and replies[0]["id"] == "s"
+
+
+def test_one_write_and_one_flush_per_read():
+    lines = request_lines(10)
+    reads = [b"".join(lines[:3]), lines[3], b"".join(lines[4:])]
+    out = CountingWriter()
+    serve_stdio(CFG, ChoppedStream(b"".join(reads), [len(r) for r in reads]), out)
+    assert len(out.writes) == out.flushes == 3
+    assert [w.count(b"\n") for w in out.writes] == [3, 1, 6]
+    replies, _ = score_lines(lines, CFG)
+    assert [json.loads(line) for line in b"".join(out.writes).splitlines()] == replies
 
 
 def roundtrip(address, lines):
@@ -373,6 +462,55 @@ class TestRewardService:
             t.join(timeout=10)
         assert set(results) == {0, 1, 2, 3}
         assert all(results[i] == results[0] for i in results)
+
+    def test_overlong_line_is_dropped_as_it_arrives(self, service):
+        # 4 MiB without a newline, then one good line: the first gets one
+        # error reply, and the connection holds no more than the read buffer
+        # plus MAX_LINE_BYTES (and a bytearray's growth slack).
+        piece = b"x" * (64 * 1024)
+        good = request_lines(1)[0]
+        tracemalloc.start()
+        try:
+            with socket.create_connection(service.server_address, timeout=10) as sock:
+                for _ in range(64):
+                    sock.sendall(piece)
+                sock.sendall(b"\n" + good)
+                sock.shutdown(socket.SHUT_WR)
+                with sock.makefile("rb") as f:
+                    replies = [json.loads(line) for line in f]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert replies == [{"id": None, "error": f"line longer than {MAX_LINE_BYTES} bytes"},
+                           score_lines([good], CFG)[0][0]]
+        assert peak < 1.5 * MAX_LINE_BYTES
+
+    def test_client_reset_ends_only_its_connection(self, service):
+        errors, handled = [], threading.Event()
+        service.handle_error = lambda request, address: errors.append(sys.exc_info()[1])
+        shutdown_request = service.shutdown_request
+
+        def record_end(request):
+            shutdown_request(request)
+            handled.set()
+
+        service.shutdown_request = record_end
+        data = b"".join(request_lines(20000))
+        sock = socket.create_connection(service.server_address, timeout=10)
+        sock.setblocking(False)
+        sent = 0
+        try:   # pipeline as many lines as the socket takes without waiting
+            while sent < len(data):
+                sent += sock.send(data[sent:sent + 65536])
+        except BlockingIOError:
+            pass
+        sock.settimeout(10)
+        assert sock.recv(1)   # the server is replying
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.close()          # a reset, with replies still on their way
+        assert handled.wait(10)
+        assert errors == []
+        assert roundtrip(service.server_address, request_lines(3))[2]["id"] == "r2"
 
     def test_malformed_line_does_not_kill_connection(self, service):
         lines = [b"garbage\n"] + request_lines(2)
