@@ -107,6 +107,16 @@ def _reads(src, path: str):
         raise CliError(f"cannot read {path!r}: {exc}") from None
 
 
+def _scored(reads, config: RewardConfig, out):
+    """Score each read's lines, write their replies, and yield their breakdowns."""
+    n_lines = 0
+    for lines in reads:
+        replies, scored = score_lines(lines, config, start=n_lines + 1)
+        n_lines += len(lines)
+        out.write(b"".join(map(_encode_reply, replies)))
+        yield from scored
+
+
 def cmd_score(args: argparse.Namespace) -> int:
     """Score the input read by read; an empty input creates no output file."""
     config = reward_config_from(load_config(args.config))
@@ -114,23 +124,17 @@ def cmd_score(args: argparse.Namespace) -> int:
         src = open(args.input, "rb")
     except OSError as exc:
         raise CliError(f"cannot read {args.input!r}: {exc}") from None
-    breakdowns: list = []
     with src:
         reads = _reads(src, args.input)
         first = next(reads, None)
         if first is None:
             raise CliError(f"input {args.input!r} is empty")
-        n_lines = 0
         try:
             with open(args.output, "wb") as out:
-                for lines in itertools.chain((first,), reads):
-                    replies, scored = score_lines(lines, config, start=n_lines + 1)
-                    n_lines += len(lines)
-                    breakdowns += scored
-                    out.write(b"".join(map(_encode_reply, replies)))
+                summary = summarize(_scored(itertools.chain((first,), reads), config, out))
         except OSError as exc:
             raise CliError(f"cannot write {args.output!r}: {exc}") from None
-    print(json.dumps(summarize(breakdowns).to_dict(), ensure_ascii=False))
+    print(json.dumps(summary.to_dict(), ensure_ascii=False))
     return 0
 
 

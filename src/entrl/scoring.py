@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import json
 import socketserver
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
 
-from .evalkit import _is_int, entity_accuracy
+from .evalkit import _is_int
 from .reward import RewardBreakdown, RewardConfig, _measured_length, compute_reward
 from .textnorm import GoldEntitySet
 
@@ -132,16 +132,26 @@ class ScoreSummary:
         return asdict(self)
 
 
-def summarize(breakdowns: list[RewardBreakdown]) -> ScoreSummary:
-    """Aggregate scored records; length failures are counted among parsed ones."""
-    if not breakdowns:
+def summarize(breakdowns: Iterable[RewardBreakdown]) -> ScoreSummary:
+    """Aggregate scored records in one pass; length failures are counted among parsed ones.
+
+    ``breakdowns`` may be a generator: nothing is kept per record, and rewards
+    are summed left to right in record order.
+    """
+    n = matches = fmt_failures = len_failures = 0
+    total = 0.0
+    for b in breakdowns:
+        n += 1
+        matches += bool(b.match)
+        total += b.reward
+        fmt_failures += b.fmt_gate == 0
+        len_failures += b.fmt_gate == 1 and b.len_gate == 0
+    if not n:
         return ScoreSummary(0, 0.0, 0.0, {"fmt": 0, "len": 0})
-    fmt_failures = sum(1 for b in breakdowns if b.fmt_gate == 0)
-    len_failures = sum(1 for b in breakdowns if b.fmt_gate == 1 and b.len_gate == 0)
     return ScoreSummary(
-        n_records=len(breakdowns),
-        entity_accuracy_pct=entity_accuracy(breakdowns),
-        mean_reward=sum(b.reward for b in breakdowns) / len(breakdowns),
+        n_records=n,
+        entity_accuracy_pct=100.0 * matches / n,
+        mean_reward=total / n,
         gate_failure_counts={"fmt": fmt_failures, "len": len_failures},
     )
 
@@ -246,7 +256,8 @@ class RewardService(socketserver.ThreadingTCPServer):
 
     Each connection is served by its own thread; replies preserve that
     connection's request order.  Identical requests always produce
-    identical replies because no state outlives a request.
+    identical replies because no state outlives a request, apart from
+    ``textnorm``'s pure, bounded alias memo.
     """
 
     allow_reuse_address = True

@@ -3,10 +3,12 @@
 import unicodedata
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles.textnorm_ref import normalize_ref
 
 from entrl import GoldEntitySet, match_entity, normalize
+from entrl import textnorm
 
 
 class TestNormalize:
@@ -43,6 +45,19 @@ class TestNormalize:
     def test_empty_and_whitespace_only(self):
         assert normalize("") == ""
         assert normalize(" \t\n ") == ""
+
+    # Any text, and ASCII-only text, which takes normalize's short path.
+    @given(st.text(max_size=80) | st.text(alphabet=st.characters(max_codepoint=0x7F), max_size=80))
+    @example("a\x0bb\x0cc\x1cd\x1de\x1ff\x1eg")   # ASCII control whitespace
+    @example(" \x1c\x1d\x1e\x1f ")
+    @example("A\x85B\u2028C")                      # non-ASCII whitespace
+    @example("\u0130stanbul")                       # lowercases to i + U+0307
+    @example("\u212aelvin")                         # Kelvin sign lowercases to ASCII k
+    @example(unicodedata.normalize("NFD", "Đà Nẵng Île-de-France"))
+    @example("MÜNCHEN")
+    @settings(max_examples=500)
+    def test_matches_reference(self, text):
+        assert normalize(text) == normalize_ref(text)
 
     @given(st.text(max_size=80))
     @settings(max_examples=300)
@@ -84,6 +99,26 @@ class TestGoldEntitySet:
     def test_rejects_alias_normalizing_to_empty(self):
         with pytest.raises(ValueError, match="normalize to empty"):
             GoldEntitySet("e0", ("ok", " ́ "))
+
+    def test_alias_memo_stays_bounded(self):
+        memo, size, cap = textnorm._memo_normalize, textnorm.ALIAS_MEMO_SIZE, textnorm.ALIAS_MEMO_CHARS
+        # Distinct aliases, a third of them non-ASCII, more than the memo holds.
+        short = [f"Alias {i} " + ("Zürich" if i % 3 else "Zurich") for i in range(size + 500)]
+        for i in range(0, len(short), 7):
+            batch = tuple(short[i:i + 7])
+            assert GoldEntitySet("e", batch).normalized_aliases == tuple(map(normalize_ref, batch))
+            assert memo.cache_info().currsize <= size
+        assert memo.cache_info().currsize == size
+        # Aliases past the cap never enter the memo, not even on a repeat.
+        before = memo.cache_info()
+        long = ("x" * cap + "É", "Ő" * (cap + 1), " " + "a" * cap, "ß" * (1 << 16))
+        for _ in range(2):
+            gold = GoldEntitySet("e", long)
+            assert gold.normalized_aliases == tuple(map(normalize_ref, long))
+        assert memo.cache_info() == before
+        # An alias of exactly the cap is memoized.
+        GoldEntitySet("e", ("Ü" * cap,))
+        assert memo.cache_info().misses == before.misses + 1
 
 
 class TestMatchEntity:
