@@ -26,8 +26,8 @@ and ``coeffs`` hold one entry per token:
   the concatenated sequences is drawn from, given each sequence's prompt
   and length;
 - ``state_logps(states, tokens)``: live log-probabilities;
-- ``new_grad()`` and ``accumulate_score_grad(states, tokens, coeffs, grad)``,
-  which adds ``coeffs[i]`` times the score gradient of row ``i``, in order;
+- ``new_grad()`` and ``accumulate_score_grad(states, tokens, coeffs, grad)``, which
+  adds ``coeffs[i]`` times row ``i``'s score gradient, in row order, into a fresh ``new_grad()``;
 - ``apply_gradient(grad, learning_rate)``.
 
 The clip band is asymmetric and deliberately tight; once a term is clipped
@@ -54,6 +54,10 @@ __all__ = [
     "surrogate_objective",
     "policy_update_step",
 ]
+
+
+# Rollouts (group_size x mini_batch_size x updates_per_batch) per step: ~2.4 KB each in flight.
+MAX_ROLLOUTS_PER_STEP = 2**18
 
 
 @dataclass(frozen=True)
@@ -92,6 +96,10 @@ class OptimConfig:
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.mini_batch_size < 1 or self.updates_per_batch < 1:
             raise ValueError("mini_batch_size and updates_per_batch must be >= 1")
+        if (n := self.group_size * self.mini_batch_size * self.updates_per_batch) > MAX_ROLLOUTS_PER_STEP:
+            raise ValueError(f"group_size x mini_batch_size x updates_per_batch = {self.group_size} x "
+                             f"{self.mini_batch_size} x {self.updates_per_batch} = {n:,} rollouts per step "
+                             f"exceeds MAX_ROLLOUTS_PER_STEP = {MAX_ROLLOUTS_PER_STEP:,}")
         if not 0.0 < self.std_floor < np.inf:
             raise ValueError(f"std_floor must be finite and positive, got {self.std_floor}")
 
@@ -130,10 +138,12 @@ def group_advantages(rewards, std_floor: float = 1e-6) -> np.ndarray:
         raise ValueError(f"rewards must be 1-d, got shape {r.shape}")
     if r.size < 2:
         raise ValueError(f"need at least 2 rewards to normalize, got {r.size}")
-    std = float(r.std())
+    dev = r - r.mean()
+    # np.std's own arithmetic, reusing the deviations.
+    std = float(np.sqrt(np.add.reduce(dev * dev) / r.size))
     if std < std_floor:
         return np.zeros_like(r)
-    return (r - r.mean()) / std
+    return dev / std
 
 
 def seq_importance_ratio(new_logp, old_logp):
@@ -233,22 +243,25 @@ def _check_groups(policy, groups: list[RolloutGroup], config: OptimConfig) -> _B
     )
 
 
+def _row_reduce(fn, lengths: np.ndarray, *flat: np.ndarray) -> np.ndarray:
+    """``fn`` (a last-axis reduction) of each concatenated row of ``lengths`` in ``flat``, bit for bit
+    as on that row alone: one ``(n, L)`` block per length, as padded rows would regroup partial sums."""
+    out = np.empty(len(lengths))
+    offsets = np.cumsum(lengths) - lengths
+    for length in np.flatnonzero(np.bincount(lengths)):
+        sel = np.flatnonzero(lengths == length)
+        idx = offsets[sel, None] + np.arange(length)
+        out[sel] = fn(*(a[idx] for a in flat))
+    return out
+
+
 def _live_ratios(policy, batch: _Batch, rollouts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sequence ratios of ``rollouts`` under the live policy, and the indices
     of their tokens in rollout order."""
     lengths = batch.lengths[rollouts]
     tok = _segments(batch.starts[rollouts], lengths)
     new_logp = policy.state_logps(batch.states[tok], batch.tokens[tok])
-    old_logp = batch.old_logp[tok]
-    # One (n, L) block per exact length: a mean over padded rows would group
-    # its partial sums differently from a length-L row.
-    ratios = np.empty(len(rollouts))
-    offsets = np.cumsum(lengths) - lengths
-    for length in np.flatnonzero(np.bincount(lengths)):
-        sel = np.flatnonzero(lengths == length)
-        idx = offsets[sel, None] + np.arange(length)
-        ratios[sel] = seq_importance_ratio(new_logp[idx], old_logp[idx])
-    return ratios, tok
+    return _row_reduce(seq_importance_ratio, lengths, new_logp, batch.old_logp[tok]), tok
 
 
 def surrogate_objective(policy, groups: list[RolloutGroup], config: OptimConfig) -> float:

@@ -12,7 +12,8 @@ Token sequences render to text (``t07 t11`` style) and are scored by the
 same reward pipeline used for real text, with token-unit lengths.  There is
 one sampling path (temperature strictly positive, drawn from the policy's
 frozen snapshot) and one scored-rollout loop, shared by ``train`` and
-``measure_pass_at_k``: sample, then render and score each distinct response once.
+``measure_pass_at_k``: sample one batch record of arrays, then score each
+distinct (entity row, token bytes) key once.
 """
 
 from __future__ import annotations
@@ -21,13 +22,14 @@ import csv
 import hashlib
 import json
 from dataclasses import astuple, dataclass, field, fields, replace
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
 from pathlib import Path
 
 import numpy as np
 
 from .evalkit import PassAtKCurve, PassAtKInput, _is_int, pass_at_k_curve
-from .optim import GroupMember, OptimConfig, RolloutGroup, policy_update_step
+from .optim import GroupMember, OptimConfig, RolloutGroup, _row_reduce, policy_update_step
 from .reward import RewardBreakdown, RewardConfig, _check_ablation, _measured_length, score_response
 from .textnorm import GoldEntitySet
 
@@ -447,6 +449,18 @@ def _pcg_uniforms(streams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (x >> 11) * 2.0**-53, np.stack([state_hi, state_lo, inc_hi, inc_lo])
 
 
+# Cells (entities x vocab_size**2) of a policy table: 128 MiB per float64 table, ~7 held at the peak.
+MAX_POLICY_CELLS = 2**24
+
+
+def _table_shape(lexicon: SyntheticLexicon) -> tuple[int, int, int]:
+    n_ent, vocab = len(lexicon.entities), lexicon.vocab_size
+    if n_ent * vocab**2 > MAX_POLICY_CELLS:
+        raise ValueError(f"policy table of {n_ent} entities x {vocab}**2 tokens = {n_ent * vocab**2:,} "
+                         f"cells exceeds MAX_POLICY_CELLS = {MAX_POLICY_CELLS:,}")
+    return n_ent, vocab, vocab
+
+
 def _log_softmax(rows: np.ndarray) -> np.ndarray:
     shifted = rows - rows.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
@@ -465,8 +479,8 @@ class ToyPolicy:
     """
 
     def __init__(self, lexicon: SyntheticLexicon, logits: np.ndarray, temperature: float = 1.0):
+        expected = _table_shape(lexicon)
         logits = np.ascontiguousarray(logits, dtype=float)
-        expected = (len(lexicon.entities), lexicon.vocab_size, lexicon.vocab_size)
         if logits.shape != expected:
             raise ValueError(f"logits shape {logits.shape} != {expected}")
         if isinstance(temperature, bool) or not 0.0 < temperature < np.inf:
@@ -529,16 +543,18 @@ class ToyPolicy:
     def accumulate_score_grad(
         self, states: np.ndarray, tokens: np.ndarray, coeffs: np.ndarray, grad: np.ndarray
     ) -> None:
-        """Add coeffs[i] * grad of log pi(tokens[i] | states[i]) into ``grad``
-        (from ``new_grad``), row by row in the given order."""
-        table = self.logits.reshape(-1, self.lexicon.vocab_size)
+        """Add coeffs[i] * grad of log pi(tokens[i] | states[i]) into ``grad``: one
+        ``np.bincount`` sums each cell's terms in row order, added once, so into a
+        fresh ``new_grad()`` it gives the bytes of adding row by row."""
+        vocab = self.lexicon.vocab_size
         distinct, row = np.unique(states, return_inverse=True)
-        rows = table[distinct] / self.temperature
+        rows = self.logits.reshape(-1, vocab)[distinct] / self.temperature
         shifted = np.exp(rows - rows.max(axis=-1, keepdims=True))
         delta = -(shifted / shifted.sum(axis=-1, keepdims=True))[row]
         delta[np.arange(len(delta)), tokens] += 1.0
-        np.add.at(grad.reshape(-1, self.lexicon.vocab_size), states,
-                  (coeffs / self.temperature)[:, None] * delta)
+        sums = np.bincount((row[:, None] * vocab + np.arange(vocab)).ravel(),
+                           ((coeffs / self.temperature)[:, None] * delta).ravel(), distinct.size * vocab)
+        grad.reshape(-1, vocab)[distinct] += sums.reshape(-1, vocab)
 
     def apply_gradient(self, grad: np.ndarray, learning_rate: float) -> None:
         if grad.shape != self.logits.shape:
@@ -571,6 +587,27 @@ class RolloutScore:
         return self.rollout.entity_id
 
 
+@dataclass(frozen=True)
+class _RolloutBatch:
+    """One lockstep batch's rollouts as arrays.  Row ``i`` is entity ``entity_ids[i]``
+    (lexicon index ``rows[i]``) with ``tokens[i]``; its ``token_ids``, snapshot ``old_logp``
+    and ``entropies`` are ``offsets[i]:offsets[i + 1]`` of the flat arrays."""
+
+    entity_ids: list[str]
+    rows: np.ndarray
+    tokens: list[tuple[int, ...]]
+    token_ids: np.ndarray
+    old_logp: np.ndarray
+    entropies: np.ndarray
+    offsets: np.ndarray
+    truncated: np.ndarray
+
+    def rollout(self, i: int) -> Rollout:
+        start, end = self.offsets[i], self.offsets[i + 1]
+        return Rollout(self.entity_ids[i], self.tokens[i], self.old_logp[start:end],
+                       bool(self.truncated[i]), self.entropies[start:end])
+
+
 def _next_tokens(cum_rows: np.ndarray, u: np.ndarray, vocab_size: int) -> np.ndarray:
     """Inverse-CDF token choice, one row per sequence.
 
@@ -586,8 +623,9 @@ def _check_max_len(max_len) -> None:
         raise ValueError(f"max_len must be an integer >= 1, got {max_len!r}")
 
 
-def _sample_batch(policy: ToyPolicy, entity_ids, streams: np.ndarray, max_len: int) -> list[Rollout]:
-    """Sample one rollout per ``(entity_ids[i], streams[:, i])`` row, all rows in lockstep.
+def _sample_batch(policy: ToyPolicy, entity_ids, streams: np.ndarray, max_len: int) -> _RolloutBatch:
+    """Sample one rollout per ``(entity_ids[i], streams[:, i])`` row, all rows
+    in lockstep, into one batch record.
 
     Row ``i`` takes its uniforms from its own stream, one per token while
     the row is alive, so its rollout does not depend on the other rows.
@@ -602,8 +640,8 @@ def _sample_batch(policy: ToyPolicy, entity_ids, streams: np.ndarray, max_len: i
     logp_table, cum_table, ent_table = policy._old_tables()
     logp_table, cum_table = logp_table.reshape(-1, vocab), cum_table.reshape(-1, vocab)
     ent_table = ent_table.reshape(-1)
-    rows = np.arange(len(entity_ids))
-    base = vocab * np.fromiter(map(policy.lexicon.entity_index, entity_ids), np.intp, len(rows))
+    ent_rows = np.fromiter(map(policy.lexicon.entity_index, entity_ids), np.intp, len(entity_ids))
+    rows, base = np.arange(len(entity_ids)), vocab * ent_rows
     states = base + BOS
     emitted = []  # per position: (rows alive, their tokens, log-probs, entropies)
     for _ in range(max_len):
@@ -620,15 +658,12 @@ def _sample_batch(policy: ToyPolicy, entity_ids, streams: np.ndarray, max_len: i
     row_of, toks_at, logps_at, ents_at = (np.concatenate(part) for part in zip(*emitted))
     # Emitted position by position; a stable sort by row keeps each row's positions in order.
     order = np.argsort(row_of, kind="stable")
-    toks, logps, ents = toks_at[order].tolist(), logps_at[order], ents_at[order]
-    ends = np.cumsum(np.bincount(row_of, minlength=len(entity_ids))).tolist()
-    out, start = [], 0
-    for entity_id, end in zip(entity_ids, ends):
-        tokens = tuple(toks[start:end])
-        out.append(Rollout(entity_id, tokens, logps[start:end],
-                           truncated=tokens[-1] != EOS, entropies=ents[start:end]))
-        start = end
-    return out
+    token_ids = toks_at[order]
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(row_of, minlength=len(entity_ids)))))
+    toks, bounds = token_ids.tolist(), offsets.tolist()
+    return _RolloutBatch(entity_ids, ent_rows, [tuple(toks[a:b]) for a, b in zip(bounds, bounds[1:])],
+                         token_ids, logps_at[order], ents_at[order], offsets,
+                         token_ids[offsets[1:] - 1] != EOS)
 
 
 def sample_rollout(policy: ToyPolicy, entity_id: str, max_len: int, seed) -> Rollout:
@@ -651,7 +686,7 @@ def sample_rollout(policy: ToyPolicy, entity_id: str, max_len: int, seed) -> Rol
         raise TypeError(
             f"seed must be an int, a tuple or a SeedSequence, got {type(seed).__name__}"
         )
-    return _sample_batch(policy, [entity_id], _seed_streams([seed]), max_len)[0]
+    return _sample_batch(policy, [entity_id], _seed_streams([seed]), max_len).rollout(0)
 
 
 def render_response(lexicon: SyntheticLexicon, tokens: tuple[int, ...], config: RewardConfig) -> str:
@@ -670,48 +705,40 @@ def toy_reward_config() -> RewardConfig:
     return RewardConfig(length_unit="tokens")
 
 
-# The most distinct (entity_id, tokens) pairs whose score one ``train`` or
-# ``measure_pass_at_k`` call keeps; a full cache is emptied before the next pair.
-SCORE_CACHE_SIZE = 8192
+# The most (entity, tokens) pairs one ``train`` or ``measure_pass_at_k`` call keeps, ~1.6 MB of 24-token
+# byte keys (8,192 tuple keys took ~2.5 MB); a full cache is emptied before the next pair.
+SCORE_CACHE_SIZE = 16384
 
 
 class _Scores(dict):
-    """``(breakdown, trans_len)`` of each ``(entity_id, tokens)`` pair under one reward
-    config and ablation, from ``score_response`` on first lookup: the reward is a
-    pure function of the pair.  Equal scores are held as one object, so a cached
-    pair costs only its key and a dict slot."""
+    """``(breakdown, trans_len)`` of each (entity, tokens) pair under one reward config and
+    ablation, from ``score_response`` on first lookup: the reward is a pure function of the pair.
+    Its key is the entity row, then the tokens, as bytes of one unsigned type that holds every id,
+    so distinct pairs never share a key.  Equal scores are held as one object."""
 
     def __init__(self, lexicon: SyntheticLexicon, config: RewardConfig, ablation: str = "full"):
         super().__init__()
         self.lexicon, self.config, self.ablation, self.distinct = lexicon, config, ablation, {}
+        self.dtype = np.min_scalar_type(max(lexicon.vocab_size, len(lexicon.entities)) - 1)
 
-    def __missing__(self, key: tuple[str, tuple[int, ...]]) -> tuple[RewardBreakdown, int]:
-        entity_id, tokens = key
-        lex = self.lexicon
-        breakdown, seg = score_response(render_response(lex, tokens, self.config), lex.gold(entity_id),
-                                        lex.ref_lengths(entity_id), self.config, self.ablation)
-        score = (breakdown, _measured_length(seg.trans, "tokens"))
-        score = self.distinct.setdefault(score, score)
-        if len(self) >= SCORE_CACHE_SIZE:
-            self.clear()
-        self[key] = score
-        return score
-
-
-def _scored_rollouts(policy: ToyPolicy, prompts: list[tuple[str, tuple]], n: int, max_len: int,
-                     scores: _Scores) -> list[RolloutScore]:
-    """Sample ``n`` rollouts for each ``(entity_id, key)`` prompt, all in one
-    lockstep batch, and score each through ``scores``.
-
-    Rollout ``i`` of a prompt draws what ``default_rng`` would from child
-    ``i`` of ``SeedSequence(key)``.  Returns the scores in prompt order, then
-    sampling order.  A pair in ``scores`` (up to ``SCORE_CACHE_SIZE``, one
-    cache per call) is not rendered or scored again; its score equals a fresh one.
-    """
-    entity_ids = [ent_id for ent_id, _ in prompts for _ in range(n)]
-    streams = _spawned_streams([key for _, key in prompts], n)
-    return [RolloutScore(ro, *scores[ro.entity_id, ro.tokens])
-            for ro in _sample_batch(policy, entity_ids, streams, max_len)]
+    def lookup(self, batch: _RolloutBatch) -> list[tuple[RewardBreakdown, int]]:
+        """The score of each row of ``batch``, in row order."""
+        flat = np.insert(batch.token_ids, batch.offsets[:-1], batch.rows).astype(self.dtype).tobytes()
+        bounds = ((batch.offsets + np.arange(len(batch.offsets))) * self.dtype.itemsize).tolist()
+        out, lex = [], self.lexicon
+        for a, b, entity_id, tokens in zip(bounds, bounds[1:], batch.entity_ids, batch.tokens):
+            score = self.get(key := flat[a:b])
+            if score is None:
+                breakdown, seg = score_response(render_response(lex, tokens, self.config),
+                                                lex.gold(entity_id), lex.ref_lengths(entity_id),
+                                                self.config, self.ablation)
+                score = (breakdown, _measured_length(seg.trans, "tokens"))
+                score = self.distinct.setdefault(score, score)
+                if len(self) >= SCORE_CACHE_SIZE:
+                    self.clear()
+                self[key] = score
+            out.append(score)
+        return out
 
 
 def measure_pass_at_k(
@@ -727,7 +754,7 @@ def measure_pass_at_k(
     unbiased estimator.  A sample counts as correct when its parsed
     translation segment matches a gold alias; gates do not apply.
     Each entity's ``n`` samples are drawn as one lockstep batch, after ``n`` and
-    ``ks`` pass ``PassAtKInput``'s checks.  Each distinct ``(entity_id, tokens)``
+    ``ks`` pass ``PassAtKInput``'s checks.  Each distinct (entity, tokens)
     pair is scored once per call, with up to ``SCORE_CACHE_SIZE`` pairs held.
 
     Returns the curve and the per-entity correct counts.
@@ -744,9 +771,9 @@ def measure_pass_at_k(
     for e_idx, ent_id in enumerate(entity_ids):
         # One batch per entity: one batch for all gives the same counts, but raised
         # the train benchmark's peak_rss_mb from 45.1-45.2 to 59.5-59.6 MB (4 of 4 runs).
-        prompt = (ent_id, (seed, _STREAM_EVAL, e_idx))
-        scored = _scored_rollouts(policy, [prompt], n, max_len, scores)
-        counts.append(sum(s.breakdown.match for s in scored))
+        streams = _spawned_streams([(seed, _STREAM_EVAL, e_idx)], n)
+        scored = scores.lookup(_sample_batch(policy, [ent_id] * n, streams, max_len))
+        counts.append(sum(breakdown.match for breakdown, _ in scored))
     curve = pass_at_k_curve(replace(data, counts=tuple(counts)))
     return curve, tuple(counts)
 
@@ -831,8 +858,8 @@ def init_activation_prior(
     if structure is None:
         structure = PriorStructure()
 
+    shape = _table_shape(lexicon)
     rng = np.random.default_rng(np.random.SeedSequence((seed, _STREAM_INIT)))
-    shape = (len(lexicon.entities), lexicon.vocab_size, lexicon.vocab_size)
     noise = rng.normal(0.0, 1.0, size=shape)
     target_p = min(0.75 * target_pass1_max, 0.06)
     boosts = {e.entity_id: -1.0 for e in lexicon.entities}
@@ -889,27 +916,17 @@ class TrainResult:
     final_rollouts: list[RolloutScore]
 
 
-def _metrics_row(step: int, scored: list[RolloutScore]) -> TrainMetricsRow:
-    """Step metrics from the step's scored rollouts.
-
-    The sums run in sampling order with plain float addition, so each
-    column is a fixed function of the rollouts, bit for bit.
-    """
-    reward_sum = entropy_sum = 0.0
-    trans_len_sum = match_sum = token_count = 0
-    for s in scored:
-        reward_sum += s.breakdown.reward
-        trans_len_sum += s.trans_len
-        match_sum += s.breakdown.match
-        entropy_sum += float(s.rollout.entropies.sum())
-        token_count += len(s.rollout.tokens)
+def _metrics_row(step: int, batch: _RolloutBatch, scored: list) -> TrainMetricsRow:
+    """Step metrics from a batch and its scores, bit for bit the per-rollout loop's: each
+    entropy sum is its row's own ``sum``, and sums fold from 0.0 in sampling order."""
+    entropy_sums = _row_reduce(lambda e: e.sum(axis=-1), np.diff(batch.offsets), batch.entropies)
     n = len(scored)
     return TrainMetricsRow(
         step=step,
-        mean_reward=reward_sum / n,
-        mean_trans_length=trans_len_sum / n,
-        mean_entropy=entropy_sum / max(token_count, 1),
-        pass1_eval=match_sum / n,
+        mean_reward=reduce(add, [breakdown.reward for breakdown, _ in scored], 0.0) / n,
+        mean_trans_length=sum(trans_len for _, trans_len in scored) / n,
+        mean_entropy=reduce(add, entropy_sums.tolist(), 0.0) / max(int(batch.offsets[-1]), 1),
+        pass1_eval=sum(breakdown.match for breakdown, _ in scored) / n,
     )
 
 
@@ -927,14 +944,14 @@ def train(
 
     Each outer step freezes a snapshot, samples ``mini_batch_size *
     updates_per_batch`` prompts from the train split with ``group_size``
-    rollouts each, all ``B * G`` rollouts in one lockstep batch, scores
-    them under the selected ablation, and hands the
-    groups to ``policy_update_step``, which normalizes rewards within each
-    group and applies the mini-batch update passes.
+    rollouts each, all ``B * G`` rollouts in one lockstep batch record,
+    scores them under the selected ablation, and hands the groups, built
+    straight from the batch, to ``policy_update_step``, which normalizes
+    rewards within each group and applies the mini-batch update passes.
     Metrics row ``s`` describes the rollouts sampled at step ``s`` before
     that step's update; ``steps=0`` emits a single measurement-only row.
-    ``final_rollouts`` is the last step's list of scored rollouts.
-    Each distinct ``(entity_id, tokens)`` pair is scored once per call, across
+    ``final_rollouts`` is the last step's rollouts, the only ones built as records.
+    Each distinct (entity, tokens) pair is scored once per call, across
     steps, with up to ``SCORE_CACHE_SIZE`` pairs held.
 
     Every random choice derives from ``seed`` through tagged substreams,
@@ -962,26 +979,26 @@ def train(
         prompt_rng = np.random.default_rng(
             np.random.SeedSequence((seed, _STREAM_PROMPTS, step))
         )
-        batch = prompt_rng.choice(train_ids, size=batch_size, replace=True)
+        prompt_ids = prompt_rng.choice(train_ids, size=batch_size, replace=True).tolist()
 
         size = optim_cfg.group_size
-        prompts = [(str(ent_id), (seed, _STREAM_ROLLOUT, step, p_idx))
-                   for p_idx, ent_id in enumerate(batch)]
-        scored = _scored_rollouts(policy, prompts, size, max_len, scores)
-        groups = []
-        for p_idx, (ent_id, _) in enumerate(prompts):
-            members = [GroupMember(s.rollout.tokens, s.rollout.old_logp, s.breakdown.reward)
-                       for s in scored[p_idx * size:(p_idx + 1) * size]]
-            groups.append(RolloutGroup(ent_id, members, policy.snapshot_version))
+        streams = _spawned_streams([(seed, _STREAM_ROLLOUT, step, p) for p in range(batch_size)], size)
+        batch = _sample_batch(policy, [e for e in prompt_ids for _ in range(size)], streams, max_len)
+        scored, bounds = scores.lookup(batch), batch.offsets.tolist()
+        members = [GroupMember(tokens, batch.old_logp[a:b], breakdown.reward)
+                   for tokens, a, b, (breakdown, _) in zip(batch.tokens, bounds, bounds[1:], scored)]
+        groups = [RolloutGroup(ent_id, members[p_idx * size:(p_idx + 1) * size], policy.snapshot_version)
+                  for p_idx, ent_id in enumerate(prompt_ids)]
 
-        metrics.append(_metrics_row(step, scored))
+        metrics.append(_metrics_row(step, batch, scored))
         if not measure_only:
             shuffle_rng = np.random.default_rng(
                 np.random.SeedSequence((seed, _STREAM_SHUFFLE, step))
             )
             policy_update_step(policy, groups, optim_cfg, rng=shuffle_rng)
 
-    return TrainResult(policy=policy, metrics=metrics, final_rollouts=scored)
+    final = [RolloutScore(batch.rollout(i), *score) for i, score in enumerate(scored)]
+    return TrainResult(policy=policy, metrics=metrics, final_rollouts=final)
 
 
 def metrics_to_csv(rows: list[TrainMetricsRow], path: str | Path) -> None:

@@ -1,15 +1,17 @@
-"""Per-rollout reference loops for the lockstep sampler and the array update.
+"""Per-rollout reference loops for the lockstep sampler, the array update
+and the training metrics row.
 
 These are the sampler and update written one token and one member at a
-time, with plain Python floats for the ratio and the clip.  The library's
-batched code must reproduce them bit for bit: same tokens, same log-probs
-and entropies, and the same logits after an update step.
+time, with plain Python floats for the ratio and the clip, and the metrics
+row summed one scored rollout at a time.  The library's batched code must
+reproduce them bit for bit: same tokens, same log-probs and entropies, the
+same logits after an update step and the same metrics row.
 """
 
 import numpy as np
 
 from entrl import group_advantages
-from entrl.toytask import BOS, EOS
+from entrl.toytask import BOS, EOS, TrainMetricsRow
 
 
 def sample_rollout_loop(policy, entity_id: str, max_len: int, seed):
@@ -95,3 +97,25 @@ def surrogate_loop(policy, groups, config) -> float:
                   for m, a in zip(grp.members, adv))
         total += acc / len(grp.members)
     return total / len(groups)
+
+
+def metrics_row_loop(step: int, scored) -> TrainMetricsRow:
+    """A step's metrics row from its ``RolloutScore`` list, one rollout at a
+    time: sums fold from 0.0 (or 0) in sampling order with plain float
+    addition, and a rollout's entropy sum is its own 1-d ``sum``."""
+    reward_sum = entropy_sum = 0.0
+    trans_len_sum = match_sum = token_count = 0
+    for s in scored:
+        reward_sum += s.breakdown.reward
+        trans_len_sum += s.trans_len
+        match_sum += s.breakdown.match
+        entropy_sum += float(s.rollout.entropies.sum())
+        token_count += len(s.rollout.tokens)
+    n = len(scored)
+    return TrainMetricsRow(
+        step=step,
+        mean_reward=reward_sum / n,
+        mean_trans_length=trans_len_sum / n,
+        mean_entropy=entropy_sum / max(token_count, 1),
+        pass1_eval=match_sum / n,
+    )

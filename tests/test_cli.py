@@ -50,13 +50,18 @@ def score_record_obj(rid, response, aliases=("Munich",), ref_lengths=(6,)):
 GOOD = "<think> recall </think> munich"
 
 
-def entrl_process(*args, unbuffered=True, **kwargs) -> subprocess.Popen:
-    """The real ``entrl`` command as a child process, importing this checkout."""
+def entrl_process(*args, unbuffered=True, address_space=None, **kwargs) -> subprocess.Popen:
+    """The real ``entrl`` command as a child process, importing this checkout,
+    with its address space capped at ``address_space`` bytes when given."""
     env = {k: v for k, v in os.environ.items() if k not in (CONFIG_ENV_VAR, "PYTHONUNBUFFERED")}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    return subprocess.Popen([sys.executable, "-m", "entrl", *args], env=env, **kwargs)
+    command = ["-m", "entrl"]
+    if address_space is not None:
+        command = ["-c", f"import resource, runpy; resource.setrlimit(resource.RLIMIT_AS, ({address_space},) * 2); "
+                         "runpy.run_module('entrl', run_name='__main__', alter_sys=True)"]
+    return subprocess.Popen([sys.executable, *command, *args], env=env, **kwargs)
 
 
 def mixed_lines(n, seed):
@@ -529,6 +534,26 @@ class TestTrainCommand:
         code = main(["train", "--config", str(cfg), "--lexicon", str(task / "lexicon.json"), "--out", str(tmp_path / "o")])
         assert code == 1
         assert "max_len must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["vocab_size", "G"])
+    def test_sizes_beyond_memory_exit_with_an_error(self, tmp_path, case):
+        # A vocabulary of 10**7 tokens asks for a 14 PiB policy table, and G =
+        # 10**12 for 3.2e13 rollouts a step.  The child runs in 4 GB of
+        # address space, so a missing check fails fast instead of paging.
+        task = tmp_path / "task"
+        assert main(["gen", "--seed", "42", "--out", str(task)]) == 0
+        lexicon, cfg = task / "lexicon.json", tmp_path / "cfg.json"
+        if case == "vocab_size":
+            lexicon.write_text(json.dumps({**json.loads(lexicon.read_text()), "vocab_size": 10**7}))
+        cfg.write_text(json.dumps({"optim": {"G": 10**12}} if case == "G" else {}))
+        child = entrl_process("train", "--config", str(cfg), "--lexicon", str(lexicon), "--steps", "1",
+                              "--out", str(tmp_path / "o"), address_space=4 * 10**9,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        out, err = child.communicate(timeout=120)
+        assert child.returncode == 1, err
+        limit = "MAX_POLICY_CELLS" if case == "vocab_size" else "MAX_ROLLOUTS_PER_STEP"
+        assert err.decode().startswith("error: ") and limit in err.decode()
+        assert b"Traceback" not in err and out == b""
 
     def test_non_finite_temperature_reported(self, tmp_path, capsys):
         task = tmp_path / "task"

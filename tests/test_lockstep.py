@@ -117,15 +117,21 @@ class TestLockstepSampler:
         ids = [IDS[i % len(IDS)] for i in range(rows)]
         seeds = [np.random.SeedSequence((3, i)) if i % 3 else i for i in range(rows)]
         batch = _sample_batch(policy, ids, _seed_streams(seeds), max_len)
-        assert len(batch) == rows
-        for ro, ent, seed in zip(batch, ids, seeds):
+        assert len(batch.tokens) == rows
+        rollouts = [batch.rollout(i) for i in range(rows)]
+        for ro, ent, seed in zip(rollouts, ids, seeds):
             assert ro.entity_id == ent
             assert_same_rollout(ro, sample_rollout_loop(policy, ent, max_len, seed))
-        lengths = [len(ro.tokens) for ro in batch]
-        assert max(lengths) == max_len and any(ro.truncated for ro in batch)
+        lengths = [len(ro.tokens) for ro in rollouts]
+        assert max(lengths) == max_len and any(ro.truncated for ro in rollouts)
         if max_len == 40:
             assert any(8 <= n < 16 for n in lengths) and any(16 <= n < 40 for n in lengths)
-            assert any(not ro.truncated for ro in batch)
+            assert any(not ro.truncated for ro in rollouts)
+        # The flat arrays are the rows' concatenation, and each row names its entity.
+        assert batch.token_ids.tolist() == [t for ro in rollouts for t in ro.tokens]
+        assert np.diff(batch.offsets).tolist() == lengths
+        assert batch.truncated.tolist() == [ro.truncated for ro in rollouts]
+        assert batch.rows.tolist() == [LEX.entity_index(ent) for ent in ids]
 
     def test_sample_rollout_is_the_one_row_case(self):
         policy = random_policy(1)
@@ -282,6 +288,29 @@ class TestArrayUpdate:
         for ro, coeff in zip(rollouts, coeffs):
             _accumulate_score_grad(policy, ro.entity_id, ro.tokens, float(coeff), expected)
         assert grad.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("rows", [0, 1, 7, 600])
+    def test_score_grad_is_the_in_order_scatter(self, rows):
+        # Repeated, unsorted states; coefficients of either sign, zero, and
+        # magnitudes 1e-8 to 1e8, so any other summation order shows.
+        policy = ToyPolicy(LEX, random_policy(5).logits, temperature=0.7)
+        rng = np.random.default_rng(rows)
+        states = rng.integers(0, len(IDS) * 32, size=rows)
+        tokens = rng.integers(0, 32, size=rows)
+        coeffs = rng.normal(size=rows) * 10.0 ** rng.integers(-8, 9, size=rows)
+        coeffs[1::5] = 0.0
+        grad = policy.new_grad()
+        policy.accumulate_score_grad(states, tokens, coeffs, grad)
+
+        # np.add.at of each row's full softmax, on a fresh gradient.
+        rows_t = policy.logits.reshape(-1, 32)[states] / policy.temperature
+        shifted = np.exp(rows_t - rows_t.max(axis=-1, keepdims=True))
+        delta = -(shifted / shifted.sum(axis=-1, keepdims=True))
+        delta[np.arange(rows), tokens] += 1.0
+        expected = policy.new_grad()
+        np.add.at(expected.reshape(-1, 32), states, (coeffs / policy.temperature)[:, None] * delta)
+        assert grad.tobytes() == expected.tobytes()
+        assert grad.any() == (rows > 0)
 
     def test_surrogate_matches_the_loop(self):
         policy, groups = update_fixture(seed=6, n_groups=5, group_size=4, zero_adv=True)

@@ -16,6 +16,7 @@ from entrl import (
     seq_importance_ratio,
     surrogate_objective,
 )
+from entrl.optim import MAX_ROLLOUTS_PER_STEP
 from oracles.fd_grad import (
     analytic_gradient,
     assert_clip_margins,
@@ -74,6 +75,19 @@ class TestGroupAdvantages:
         a = group_advantages(base)
         b = group_advantages(scale * base + shift)
         np.testing.assert_allclose(a, b, atol=1e-7)
+
+
+    @given(st.integers(2, 64).flatmap(lambda g: st.one_of(
+               st.lists(st.floats(-1.0, 1.0), min_size=g, max_size=g),
+               st.lists(st.sampled_from([0.0, 0.2, 1.2]), min_size=g, max_size=g),
+               st.floats(-1.0, 1.0).map(lambda v: [v] * g))),
+           st.floats(1.0, 10.0), st.integers(-8, 8), st.sampled_from([1e-6, 1e-12]))
+    @settings(max_examples=500, deadline=None)
+    def test_is_numpys_mean_and_std_byte_for_byte(self, rewards, mantissa, exponent, std_floor):
+        r = np.asarray(rewards) * (mantissa * 10.0**exponent)
+        std = r.std()
+        expected = np.zeros_like(r) if std < std_floor else (r - r.mean()) / std
+        assert group_advantages(r, std_floor).tobytes() == expected.tobytes()
 
 
 class TestSeqImportanceRatio:
@@ -204,6 +218,16 @@ class TestOptimConfigValidation:
 
     def test_zero_learning_rate_allowed(self):
         assert OptimConfig(learning_rate=0.0).learning_rate == 0.0
+
+    def test_rollouts_per_step_limit(self):
+        assert MAX_ROLLOUTS_PER_STEP == 2**18
+        assert OptimConfig(group_size=2**14, mini_batch_size=4, updates_per_batch=4)
+        with pytest.raises(ValueError, match=r"group_size x mini_batch_size x updates_per_batch = "
+                                             r"16385 x 4 x 4 = 262,160 rollouts per step exceeds "
+                                             r"MAX_ROLLOUTS_PER_STEP = 262,144"):
+            OptimConfig(group_size=2**14 + 1, mini_batch_size=4, updates_per_batch=4)
+        with pytest.raises(ValueError, match="MAX_ROLLOUTS_PER_STEP"):
+            OptimConfig(group_size=10**12)
 
 
 class TestSurrogateObjective:

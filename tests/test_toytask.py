@@ -1,5 +1,7 @@
 """Synthetic lexicon, bigram policy, rollouts, and the training loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,12 +27,19 @@ from entrl.toytask import (
     BOS,
     EOS,
     FILLER,
+    SCORE_CACHE_SIZE,
     SRC_MARK,
     THINK_CLOSE,
     THINK_OPEN,
+    Entity,
     ToyPolicy,
     _contains_run,
+    _RolloutBatch,
+    _sample_batch,
+    _Scores,
+    _seed_streams,
 )
+from oracles.rollout_loops import metrics_row_loop
 
 LEX = gen_lexicon(seed=7, n_entities=6, vocab_size=32)
 
@@ -292,6 +301,29 @@ class TestToyPolicy:
         with pytest.raises(ValueError):
             policy.apply_gradient(np.zeros((2, 2)), 0.1)
 
+    def test_table_above_the_cell_limit_rejected(self, monkeypatch):
+        # 2 entities x (10**7)**2 cells is far beyond any address space, so
+        # the check must come before any allocation; the limit itself is
+        # tested at a patched value.
+        with pytest.raises(ValueError, match=r"2 entities x 10000000\*\*2 tokens = "
+                                             r"200,000,000,000,000 cells exceeds MAX_POLICY_CELLS"):
+            ToyPolicy(huge_lexicon(), np.zeros(1))
+        import entrl.toytask as toytask
+
+        monkeypatch.setattr(toytask, "MAX_POLICY_CELLS", 6 * 32 * 32)
+        assert small_policy().n_params == 6 * 32 * 32
+        monkeypatch.setattr(toytask, "MAX_POLICY_CELLS", 6 * 32 * 32 - 1)
+        with pytest.raises(ValueError, match="6 entities x 32\\*\\*2 tokens = 6,144 cells exceeds "
+                                             "MAX_POLICY_CELLS = 6,143"):
+            small_policy()
+
+
+def huge_lexicon() -> SyntheticLexicon:
+    """Two entities over a vocabulary of 10**7 tokens."""
+    ents = tuple(Entity(f"E{i}", 6 + 3 * i, ((7 + 3 * i, 8 + 3 * i),), (7 + 3 * i, 8 + 3 * i))
+                 for i in range(2))
+    return SyntheticLexicon(10**7, ents, ("E0",), ("E1",))
+
 
 class TestSampleRollout:
     def test_deterministic_by_seed(self):
@@ -533,6 +565,10 @@ class TestInitActivationPrior:
         assert pass1 <= 0.15
         assert pass_high >= 0.5
 
+    def test_table_above_the_cell_limit_rejected_before_allocating(self):
+        with pytest.raises(ValueError, match="MAX_POLICY_CELLS"):
+            init_activation_prior(huge_lexicon(), PolicyConfig(), target_pass1_max=0.1, seed=0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             init_activation_prior(LEX, PolicyConfig(), target_pass1_max=0.0, seed=0)
@@ -700,6 +736,81 @@ class TestTrain:
         assert trans_len_sum / len(final) == res.metrics[-1].mean_trans_length
         assert reward_sum / len(final) == res.metrics[-1].mean_reward
 
+    def test_test_split_rows_stay_the_prior(self):
+        # Policy rows are per entity and train samples only train-split
+        # prompts, so no update reaches an unseen entity's rows.
+        policy = prior_policy()
+        res = train(LEX, policy, toy_reward_config(), SMALL_OPTIM, steps=8, seed=5)
+        test_rows = [LEX.entity_index(e) for e in LEX.test_ids]
+        train_rows = [LEX.entity_index(e) for e in LEX.train_ids]
+        assert test_rows
+        assert res.policy.logits[test_rows].tobytes() == _PRIOR_LOGITS[test_rows].tobytes()
+        assert res.policy.logits[train_rows].tobytes() != _PRIOR_LOGITS[train_rows].tobytes()
+
+
+ORACLE_OPTIM = OptimConfig(group_size=8, mini_batch_size=4, updates_per_batch=2)
+
+
+def one_hot_policy(seed: int) -> ToyPolicy:
+    """Every state emits one token with probability 1, so every entropy is a signed zero."""
+    hot = np.random.default_rng(seed).integers(0, 32, size=(len(LEX.entities), 32, 1))
+    logits = np.full((len(LEX.entities), 32, 32), -1e3)
+    np.put_along_axis(logits, hot, 0.0, axis=-1)
+    return ToyPolicy(LEX, logits)
+
+
+def assert_last_row_is_the_loops(res) -> None:
+    """All four columns of the last metrics row, bit for bit (``hex`` tells -0.0 from 0.0)."""
+    last = res.metrics[-1]
+    expected = metrics_row_loop(last.step, res.final_rollouts)
+    assert last.step == expected.step
+    for column in ("mean_reward", "mean_trans_length", "mean_entropy", "pass1_eval"):
+        assert float(getattr(last, column)).hex() == float(getattr(expected, column)).hex(), column
+
+
+class TestMetricsRowOracle:
+    """``train``'s array metrics row against the per-rollout loop of ``tests/oracles``."""
+
+    @pytest.mark.parametrize("ablation", ABLATIONS)
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_last_row_is_the_loop(self, seed, ablation):
+        res = train(LEX, prior_policy(), toy_reward_config(), ORACLE_OPTIM, steps=3,
+                    ablation=ablation, seed=seed)
+        assert 0.0 < res.metrics[-1].mean_reward and 0.0 < res.metrics[-1].mean_entropy
+        assert_last_row_is_the_loops(res)
+
+    def test_measurement_only_row(self):
+        res = train(LEX, prior_policy(), toy_reward_config(), ORACLE_OPTIM, steps=0, seed=3)
+        assert_last_row_is_the_loops(res)
+
+    def test_every_rollout_truncated(self):
+        res = train(LEX, prior_policy(), toy_reward_config(), ORACLE_OPTIM, steps=2, seed=3, max_len=1)
+        assert all(s.rollout.truncated for s in res.final_rollouts)
+        assert_last_row_is_the_loops(res)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_one_hot_rows_give_signed_zero_entropies(self, seed):
+        res = train(LEX, one_hot_policy(seed), toy_reward_config(), ORACLE_OPTIM, steps=2, seed=3)
+        entropies = np.concatenate([s.rollout.entropies for s in res.final_rollouts])
+        assert not entropies.any() and np.signbit(entropies).any()
+        assert_last_row_is_the_loops(res)
+
+
+def batch_of(lexicon, pairs) -> _RolloutBatch:
+    """A batch record of ``(entity_id, tokens)`` rows, with zero log-probs and entropies."""
+    entity_ids, tokens = [e for e, _ in pairs], [toks for _, toks in pairs]
+    flat = np.array([t for toks in tokens for t in toks], dtype=np.intp)
+    offsets = np.concatenate(([0], np.cumsum([len(toks) for toks in tokens])))
+    rows = np.array([lexicon.entity_index(e) for e in entity_ids])
+    zeros = np.zeros(len(flat))
+    return _RolloutBatch(entity_ids, rows, tokens, flat, zeros, zeros, offsets, flat[offsets[1:] - 1] != EOS)
+
+
+def sample_batch(policy, n: int) -> _RolloutBatch:
+    """``n`` rollouts of each entity, one lockstep batch."""
+    ids = [e.entity_id for e in policy.lexicon.entities for _ in range(n)]
+    return _sample_batch(policy, ids, _seed_streams(range(len(ids))), 24)
+
 
 def counted_scorer(monkeypatch):
     """Replace the scorer ``train`` uses with one that records each pair it scores."""
@@ -743,6 +854,53 @@ class TestScoreCache:
         for s in res.final_rollouts:
             assert by_value.setdefault((s.breakdown, s.trans_len), s.breakdown) is s.breakdown
         assert len(by_value) < len(res.final_rollouts)
+
+    @pytest.mark.parametrize("vocab_size", [32, 300])
+    def test_one_key_per_distinct_pair(self, vocab_size):
+        lex = gen_lexicon(seed=3, n_entities=6, vocab_size=vocab_size)
+        e0, e1 = lex.entities[0].entity_id, lex.entities[1].entity_id
+        top = vocab_size - 1
+        # Pairs that a narrower or unprefixed encoding would merge: token ids
+        # 256 apart, a row id that could read as a token, one sequence the
+        # prefix of another, and a repeated pair.
+        pairs = [(e0, (top,)), (e0, (top - 256 if top >= 256 else top - 1,)), (e1, (top,)),
+                 (e0, (1, top)), (e0, (1, top, EOS)), (e1, (EOS,)), (e0, (1, EOS)), (e0, (top,))]
+        sampled = sample_batch(ToyPolicy(lex, np.random.default_rng(0).normal(
+            size=(6, vocab_size, vocab_size))), 200)
+        assert len(set(pairs)) == len(pairs) - 1
+        for batch in (batch_of(lex, pairs), sampled):
+            assert any(max(toks) > 255 for toks in batch.tokens) == (vocab_size > 256)
+            scores = _Scores(lex, toy_reward_config())
+            scores.lookup(batch)
+            distinct = set(zip(batch.rows.tolist(), batch.tokens))
+            assert len(scores) == len(distinct)
+            # Every key decodes to its own (row, tokens), so no two pairs share one.
+            decoded = (np.frombuffer(key, scores.dtype).tolist() for key in scores)
+            assert {(row, tuple(toks)) for row, *toks in decoded} == distinct
+
+    def test_a_full_cache_of_max_length_keys_is_small(self):
+        # 16,384 distinct 24-token pairs fit in less than 8,192 (entity_id,
+        # tokens) tuple keys took: about 1.6 MB against 2.5 MB.
+        bound_mb = 2.0
+        rng = np.random.default_rng(0)
+        rows = rng.integers(FILLER + 1, 32, size=(SCORE_CACHE_SIZE, 24)).tolist()
+        pairs = [(LEX.entities[i % 6].entity_id, tuple(toks)) for i, toks in enumerate(rows)]
+        batch = batch_of(LEX, pairs)
+        scores = _Scores(LEX, toy_reward_config())
+        tuple_keys = {}
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            scored = scores.lookup(batch)
+            cache_mb = (tracemalloc.get_traced_memory()[0] - base) / 2**20
+            base = tracemalloc.get_traced_memory()[0]
+            for ent, toks in pairs[:8192]:
+                tuple_keys[ent, tuple(list(toks))] = scored[0]
+            tuple_mb = (tracemalloc.get_traced_memory()[0] - base) / 2**20
+        finally:
+            tracemalloc.stop()
+        assert len(scores) == SCORE_CACHE_SIZE == 16384 and len(tuple_keys) == 8192
+        assert cache_mb < bound_mb <= tuple_mb
 
     def test_measure_pass_at_k_counts_unchanged_by_the_bound(self, monkeypatch):
         import entrl.toytask as toytask
