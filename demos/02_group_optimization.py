@@ -40,10 +40,7 @@ print()
 
 # One real update step on the toy policy.
 lexicon = gen_lexicon(seed=10, n_entities=4, vocab_size=24)
-policy = init_activation_prior(
-    lexicon, PolicyConfig(eval_samples=64, k_high=16, pass64_floor=0.3),
-    target_pass1_max=0.3, seed=1,
-)
+policy = init_activation_prior(lexicon, PolicyConfig(), target_pass1_max=0.3, seed=1)
 config = OptimConfig(group_size=4, mini_batch_size=2, updates_per_batch=1, learning_rate=0.5)
 
 entity = lexicon.train_ids[0]

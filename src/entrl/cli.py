@@ -9,6 +9,7 @@ file to use when ``--config`` is absent.  Unknown config keys are errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -99,12 +100,28 @@ def optim_config_from(doc: dict):
         raise CliError(f"bad optim config: {exc}") from None
 
 
+def _open_input(path: str):
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise CliError(f"cannot read {path!r}: {exc}") from None
+
+
 def _reads(src, path: str):
     """``_read_lines(src)``, with a read error reported as a ``CliError``."""
     try:
         yield from _read_lines(src)
     except OSError as exc:
         raise CliError(f"cannot read {path!r}: {exc}") from None
+
+
+@contextlib.contextmanager
+def _writing(path: str):
+    """Report an ``OSError`` of the block as a ``CliError``: ``path`` cannot be written."""
+    try:
+        yield
+    except OSError as exc:
+        raise CliError(f"cannot write {path!r}: {exc}") from None
 
 
 def _scored(reads, config: RewardConfig, out):
@@ -120,20 +137,13 @@ def _scored(reads, config: RewardConfig, out):
 def cmd_score(args: argparse.Namespace) -> int:
     """Score the input read by read; an empty input creates no output file."""
     config = reward_config_from(load_config(args.config))
-    try:
-        src = open(args.input, "rb")
-    except OSError as exc:
-        raise CliError(f"cannot read {args.input!r}: {exc}") from None
-    with src:
+    with _open_input(args.input) as src:
         reads = _reads(src, args.input)
         first = next(reads, None)
         if first is None:
             raise CliError(f"input {args.input!r} is empty")
-        try:
-            with open(args.output, "wb") as out:
-                summary = summarize(_scored(itertools.chain((first,), reads), config, out))
-        except OSError as exc:
-            raise CliError(f"cannot write {args.output!r}: {exc}") from None
+        with _writing(args.output), open(args.output, "wb") as out:
+            summary = summarize(_scored(itertools.chain((first,), reads), config, out))
     print(json.dumps(summary.to_dict(), ensure_ascii=False))
     return 0
 
@@ -198,26 +208,23 @@ def cmd_passk(args: argparse.Namespace) -> int:
 
     n_seen: int | None = None
     counts: list[int] = []
-    try:
-        with open(args.input, "rb") as lines:
-            for lineno, raw in enumerate(lines, start=1):
-                try:
-                    obj = decode_line(raw.removesuffix(b"\n"))
-                except RecordError as exc:
-                    raise CliError(f"line {lineno}: {exc}") from None
-                if "n" not in obj:
-                    raise CliError(f"line {lineno}: expected an object with n and c")
-                c = obj.get("c", obj.get("correct_count"))
-                n = obj["n"]
-                if not (_is_int(n) and _is_int(c)):
-                    raise CliError(f"line {lineno}: n and c must be integers")
-                if n_seen is None:
-                    n_seen = n
-                elif n != n_seen:
-                    raise CliError(f"line {lineno}: n={n} but earlier records had n={n_seen}")
-                counts.append(c)
-    except OSError as exc:
-        raise CliError(f"cannot read {args.input!r}: {exc}") from None
+    with _open_input(args.input) as src:
+        for lineno, raw in enumerate(itertools.chain.from_iterable(_reads(src, args.input)), start=1):
+            try:
+                obj = decode_line(raw)
+            except RecordError as exc:
+                raise CliError(f"line {lineno}: {exc}") from None
+            if "n" not in obj:
+                raise CliError(f"line {lineno}: expected an object with n and c")
+            c = obj.get("c", obj.get("correct_count"))
+            n = obj["n"]
+            if not (_is_int(n) and _is_int(c)):
+                raise CliError(f"line {lineno}: n and c must be integers")
+            if n_seen is None:
+                n_seen = n
+            elif n != n_seen:
+                raise CliError(f"line {lineno}: n={n} but earlier records had n={n_seen}")
+            counts.append(c)
     if not counts:
         raise CliError(f"input {args.input!r} is empty")
     try:
@@ -226,10 +233,8 @@ def cmd_passk(args: argparse.Namespace) -> int:
         raise CliError(str(exc)) from None
 
     rows = ["k,estimate"] + [f"{k},{est}" for k, est in zip(curve.ks, curve.estimates)]
-    try:
+    with _writing(args.output):
         Path(args.output).write_text("\n".join(rows) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise CliError(f"cannot write {args.output!r}: {exc}") from None
     print(json.dumps({"ks": list(curve.ks), "estimates": list(curve.estimates)}))
     return 0
 
@@ -249,24 +254,16 @@ def cmd_gen(args: argparse.Namespace) -> int:
     except (ValueError, RuntimeError) as exc:
         raise CliError(str(exc)) from None
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    lexicon.save(out / "lexicon.json")
-    for name, ids in (("train_prompts.jsonl", lexicon.train_ids), ("test_prompts.jsonl", lexicon.test_ids)):
-        records = []
-        for ent_id in ids:
-            ent = lexicon.entity(ent_id)
-            records.append(
-                json.dumps(
-                    {
-                        "id": ent_id,
-                        "prompt": f"<src> {lexicon.token_text(ent.source_token)}",
-                        "gold_aliases": [lexicon.alias_text(a) for a in ent.aliases],
-                        "ref_lengths": lexicon.ref_lengths(ent_id),
-                    },
-                    ensure_ascii=False,
-                )
-            )
-        (out / name).write_text("\n".join(records) + "\n", encoding="utf-8")
+    with _writing(args.out):
+        out.mkdir(parents=True, exist_ok=True)
+        lexicon.save(out / "lexicon.json")
+        for name, ids in (("train_prompts.jsonl", lexicon.train_ids), ("test_prompts.jsonl", lexicon.test_ids)):
+            records = [json.dumps({"id": ent.entity_id,
+                                   "prompt": f"<src> {lexicon.token_text(ent.source_token)}",
+                                   "gold_aliases": [lexicon.alias_text(a) for a in ent.aliases],
+                                   "ref_lengths": ent.ref_lengths}, ensure_ascii=False)
+                       for ent in map(lexicon.entity, ids)]
+            (out / name).write_text("\n".join(records) + "\n", encoding="utf-8")
     print(
         json.dumps(
             {
@@ -302,10 +299,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     try:
         steps = args.steps if args.steps is not None else _train_value(section, "steps", 2000, int)
         seed = args.seed if args.seed is not None else _train_value(section, "seed", 0, int)
-        max_len = _train_value(section, "max_len", 24, int)
-        temperature = float(_train_value(section, "temperature", 1.0, (int, float)))
+        policy_cfg = PolicyConfig(
+            temperature=float(_train_value(section, "temperature", PolicyConfig.temperature, (int, float))),
+            max_len=_train_value(section, "max_len", PolicyConfig.max_len, int))
         target = float(_train_value(section, "target_pass1_max", 0.10, (int, float)))
-    except (TypeError, OverflowError) as exc:  # OverflowError: an int beyond float range
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int beyond float range
         raise CliError(f"bad train config: {exc}") from None
     ablation = args.ablation or section.get("ablation", "full")
     try:
@@ -319,9 +317,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         lexicon = SyntheticLexicon.load(lexicon_path)
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot load lexicon {lexicon_path!r}: {exc}") from None
+    out = Path(args.out)
+    with _writing(args.out):
+        out.mkdir(parents=True, exist_ok=True)
 
     try:
-        policy_cfg = PolicyConfig(temperature=temperature, max_len=max_len)
         policy = init_activation_prior(lexicon, policy_cfg, target_pass1_max=target, seed=seed)
         result = train(
             lexicon,
@@ -331,17 +331,16 @@ def cmd_train(args: argparse.Namespace) -> int:
             steps=steps,
             ablation=ablation,
             seed=seed,
-            max_len=max_len,
+            max_len=policy_cfg.max_len,
         )
     except (ValueError, RuntimeError) as exc:
         raise CliError(str(exc)) from None
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    metrics_to_csv(result.metrics, out / "metrics.csv")
-    save_policy(result.policy, out / "policy.npz")
+    with _writing(args.out):
+        metrics_to_csv(result.metrics, out / "metrics.csv")
+        save_policy(result.policy, out / "policy.npz")
     curve, _ = measure_pass_at_k(
-        result.policy, lexicon.train_ids, n=128, ks=(1,), seed=seed, max_len=max_len,
+        result.policy, lexicon.train_ids, n=128, ks=(1,), seed=seed, max_len=policy_cfg.max_len,
         config=reward_cfg,
     )
     last = result.metrics[-1]

@@ -50,8 +50,11 @@ class RecordError(ValueError):
     """A single input record is unusable; processing continues."""
 
 
-def decode_line(raw: bytes | str) -> dict:
-    """Decode one input line to a JSON object, strictly UTF-8."""
+def decode_line(raw: bytes | str | None) -> dict:
+    """Decode one input line to a JSON object, strictly UTF-8; ``None`` stands for
+    a line that ``_read_lines`` dropped as longer than ``MAX_LINE_BYTES``."""
+    if raw is None:
+        raise RecordError(f"line longer than {MAX_LINE_BYTES} bytes")
     if isinstance(raw, bytes):
         try:
             raw = raw.decode("utf-8")
@@ -167,9 +170,9 @@ def score_line(raw: bytes | str | None, config: RewardConfig) -> tuple[dict, Rew
     """
     record = None
     try:
-        if raw is None:
-            raise RecordError(f"line longer than {MAX_LINE_BYTES} bytes")
-        record = decode_line(raw.removesuffix(b"\n" if isinstance(raw, bytes) else "\n"))
+        if raw is not None:
+            raw = raw.removesuffix(b"\n" if isinstance(raw, bytes) else "\n")
+        record = decode_line(raw)
         return score_record(record, config)
     except RecordError as exc:
         rid = record.get("id") if record is not None else None

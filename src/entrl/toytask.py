@@ -87,6 +87,10 @@ class Entity:
     aliases: tuple[tuple[int, ...], ...]
     canonical_ref: tuple[int, ...]
 
+    @property
+    def ref_lengths(self) -> list[int]:
+        return [len(self.canonical_ref)]
+
 
 @dataclass(frozen=True)
 class SyntheticLexicon:
@@ -157,7 +161,7 @@ class SyntheticLexicon:
         return self.golds[self.entity_index(entity_id)]
 
     def ref_lengths(self, entity_id: str) -> list[int]:
-        return [len(self.entity(entity_id).canonical_ref)]
+        return self.entity(entity_id).ref_lengths
 
     def to_dict(self) -> dict:
         return {
@@ -330,28 +334,17 @@ def gen_lexicon(
 
 @dataclass(frozen=True)
 class PolicyConfig:
-    """Knobs for policy construction and its Monte Carlo verification."""
+    """The toy policy's sampling temperature and longest response; every toy-task
+    function that takes them defaults to these."""
 
     temperature: float = 1.0
     max_len: int = 24
-    eval_samples: int = 256
-    pass64_floor: float = 0.70
-    k_high: int = 64
-    max_attempts: int = 10
 
     def __post_init__(self) -> None:
-        for name in ("max_len", "eval_samples", "k_high", "max_attempts"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
-        if self.k_high > self.eval_samples:
-            raise ValueError(f"k_high {self.k_high} exceeds eval_samples {self.eval_samples}")
-        if isinstance(self.pass64_floor, bool):
-            raise ValueError("pass64_floor must be a real number, not a boolean")
-        if not 0.0 <= self.pass64_floor <= 1.0:
-            raise ValueError(f"pass64_floor must be in [0, 1], got {self.pass64_floor}")
+        if not _is_int(self.max_len):
+            raise ValueError(f"max_len must be an integer, got {self.max_len!r}")
+        if self.max_len < 1:
+            raise ValueError(f"max_len must be >= 1, got {self.max_len}")
 
 
 # numpy's SeedSequence hash and PCG64 generator (numpy/random/bit_generator.pyx,
@@ -478,7 +471,8 @@ class ToyPolicy:
     (entity, previous token) state in a call and gather it per token.
     """
 
-    def __init__(self, lexicon: SyntheticLexicon, logits: np.ndarray, temperature: float = 1.0):
+    def __init__(self, lexicon: SyntheticLexicon, logits: np.ndarray,
+                 temperature: float = PolicyConfig.temperature):
         expected = _table_shape(lexicon)
         logits = np.ascontiguousarray(logits, dtype=float)
         if logits.shape != expected:
@@ -705,6 +699,10 @@ def toy_reward_config() -> RewardConfig:
     return RewardConfig(length_unit="tokens")
 
 
+# Samples per entity in one ``measure_pass_at_k`` call: ~2.3 KB each in flight when every
+# row runs to the default max_len of 24 (tracemalloc), so ~600 MB at the limit.
+MAX_EVAL_SAMPLES = 2**18
+
 # The most (entity, tokens) pairs one ``train`` or ``measure_pass_at_k`` call keeps, ~1.6 MB of 24-token
 # byte keys (8,192 tuple keys took ~2.5 MB); a full cache is emptied before the next pair.
 SCORE_CACHE_SIZE = 16384
@@ -726,11 +724,11 @@ class _Scores(dict):
         flat = np.insert(batch.token_ids, batch.offsets[:-1], batch.rows).astype(self.dtype).tobytes()
         bounds = ((batch.offsets + np.arange(len(batch.offsets))) * self.dtype.itemsize).tolist()
         out, lex = [], self.lexicon
-        for a, b, entity_id, tokens in zip(bounds, bounds[1:], batch.entity_ids, batch.tokens):
+        for a, b, row, tokens in zip(bounds, bounds[1:], batch.rows.tolist(), batch.tokens):
             score = self.get(key := flat[a:b])
             if score is None:
                 breakdown, seg = score_response(render_response(lex, tokens, self.config),
-                                                lex.gold(entity_id), lex.ref_lengths(entity_id),
+                                                lex.golds[row], lex.entities[row].ref_lengths,
                                                 self.config, self.ablation)
                 score = (breakdown, _measured_length(seg.trans, "tokens"))
                 score = self.distinct.setdefault(score, score)
@@ -747,19 +745,23 @@ def measure_pass_at_k(
     n: int,
     ks,
     seed: int,
-    max_len: int = 24,
+    max_len: int = PolicyConfig.max_len,
     config: RewardConfig | None = None,
 ) -> tuple[PassAtKCurve, tuple[int, ...]]:
     """Monte Carlo pass@k over entities: n fresh samples each, then the
     unbiased estimator.  A sample counts as correct when its parsed
     translation segment matches a gold alias; gates do not apply.
     Each entity's ``n`` samples are drawn as one lockstep batch, after ``n`` and
-    ``ks`` pass ``PassAtKInput``'s checks.  Each distinct (entity, tokens)
-    pair is scored once per call, with up to ``SCORE_CACHE_SIZE`` pairs held.
+    ``ks`` pass ``PassAtKInput``'s checks and ``n`` is at most ``MAX_EVAL_SAMPLES``.
+    Each distinct (entity, tokens) pair is scored once per call, with up to
+    ``SCORE_CACHE_SIZE`` pairs held.
 
     Returns the curve and the per-entity correct counts.
     """
     data = PassAtKInput(n=n, counts=(0,), ks=tuple(ks))
+    if n > MAX_EVAL_SAMPLES:
+        raise ValueError(f"n = {n:,} samples per entity x ~2.3 KB = ~{n * 2.3e-6:,.1f} GB exceeds "
+                         f"MAX_EVAL_SAMPLES = {MAX_EVAL_SAMPLES:,}")
     if not _is_int(seed) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     entity_ids = tuple(entity_ids)
@@ -835,6 +837,11 @@ def _structured_logits(
     return logits
 
 
+# The prior's regime check, the same for every caller: pass@PRIOR_K over PRIOR_SAMPLES samples per
+# train entity stays >= PRIOR_PASS_K_FLOOR while pass@1 is low, within PRIOR_ATTEMPTS nudges.
+PRIOR_SAMPLES, PRIOR_K, PRIOR_PASS_K_FLOOR, PRIOR_ATTEMPTS = 256, 64, 0.70, 10
+
+
 def init_activation_prior(
     lexicon: SyntheticLexicon,
     policy_cfg: PolicyConfig,
@@ -848,10 +855,9 @@ def init_activation_prior(
     near-deterministic, and each alias chain is easy to follow once its
     first token is chosen; only the choice of that first token is weak.
     The per-entity start logit is tuned by Monte Carlo on the train split
-    until measured pass@1 <= ``target_pass1_max`` while pass@``k_high``
-    stays at or above ``policy_cfg.pass64_floor``.  Raises with the
-    measured rates if the regime is not reached within
-    ``policy_cfg.max_attempts``.
+    until measured pass@1 <= ``target_pass1_max`` while pass@``PRIOR_K``
+    stays at or above ``PRIOR_PASS_K_FLOOR``.  Raises with the measured
+    rates if the regime is not reached within ``PRIOR_ATTEMPTS``.
     """
     if not 0.0 < target_pass1_max < 1.0:
         raise ValueError(f"target_pass1_max must be in (0, 1), got {target_pass1_max}")
@@ -865,7 +871,7 @@ def init_activation_prior(
     boosts = {e.entity_id: -1.0 for e in lexicon.entities}
 
     history = []
-    for attempt in range(policy_cfg.max_attempts):
+    for attempt in range(PRIOR_ATTEMPTS):
         policy = ToyPolicy(
             lexicon,
             _structured_logits(lexicon, boosts, noise, structure),
@@ -874,8 +880,8 @@ def init_activation_prior(
         curve, counts = measure_pass_at_k(
             policy,
             lexicon.train_ids,
-            n=policy_cfg.eval_samples,
-            ks=(1, policy_cfg.k_high),
+            n=PRIOR_SAMPLES,
+            ks=(1, PRIOR_K),
             seed=int(np.random.SeedSequence((seed, _STREAM_INIT_EVAL, attempt)).generate_state(1)[0]),
             max_len=policy_cfg.max_len,
         )
@@ -883,18 +889,17 @@ def init_activation_prior(
         history.append((pass1, pass_high))
         # Accept with margin so an independent measurement seed stays inside
         # the target too.
-        if pass1 <= 0.9 * target_pass1_max and pass_high >= policy_cfg.pass64_floor:
+        if pass1 <= 0.9 * target_pass1_max and pass_high >= PRIOR_PASS_K_FLOOR:
             return policy
         # Nudge each entity's start logit toward the per-entity target rate.
-        n = policy_cfg.eval_samples
         for ent_id, c in zip(lexicon.train_ids, counts):
-            measured = max(c / n, 1.0 / (2 * n))
+            measured = max(c / PRIOR_SAMPLES, 1.0 / (2 * PRIOR_SAMPLES))
             step = float(np.clip(np.log(target_p / measured), -2.5, 2.5))
             boosts[ent_id] += step
 
     raise RuntimeError(
-        f"activation prior not reached in {policy_cfg.max_attempts} attempts; "
-        f"measured (pass@1, pass@{policy_cfg.k_high}) per attempt: {history!r}"
+        f"activation prior not reached in {PRIOR_ATTEMPTS} attempts; "
+        f"measured (pass@1, pass@{PRIOR_K}) per attempt: {history!r}"
     )
 
 
@@ -938,7 +943,7 @@ def train(
     steps: int,
     ablation: str = "full",
     seed: int = 0,
-    max_len: int = 24,
+    max_len: int = PolicyConfig.max_len,
 ) -> TrainResult:
     """Run the group-based training loop on the toy task.
 

@@ -316,6 +316,7 @@ def test_criterion_8_service_library_equivalence(tmp_path, capsys, monkeypatch):
         finally:
             proc.terminate()
             proc.wait(timeout=10)
+            proc.stdout.close()
 
         service_replies = {r["id"]: r for chunk in results for r in chunk}
         assert len(service_replies) == 1000

@@ -9,6 +9,7 @@ import signal
 import socket
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -412,6 +413,36 @@ class TestPasskCommand:
         assert main(["passk", "--input", str(inp), "--ks", "7", "--output", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("tail", [b"\n", b""], ids=["newline", "no-newline"])
+    def test_overlong_line_is_fatal_with_line_number(self, tmp_path, capsys, tail):
+        inp = tmp_path / "counts.jsonl"
+        inp.write_bytes(b'{"n": 6, "c": 1}\n{"n": 6, "c": 1' + b" " * MAX_LINE_BYTES + b"}" + tail)
+        assert main(["passk", "--input", str(inp), "--ks", "1", "--output", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: line 2: line longer than {MAX_LINE_BYTES} bytes\n"
+
+    def test_overlong_line_is_dropped_as_it_is_read(self, tmp_path, capsys):
+        # An 8 MiB line: the reader holds at most its buffer plus MAX_LINE_BYTES.
+        inp = tmp_path / "counts.jsonl"
+        with open(inp, "wb") as f:
+            for _ in range(128):
+                f.write(b" " * (64 * 1024))
+            f.write(b"\n")
+        tracemalloc.start()
+        try:
+            code = main(["passk", "--input", str(inp), "--ks", "1", "--output", str(tmp_path / "o")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and "line 1: line longer than" in capsys.readouterr().err
+        assert peak < 1.5 * MAX_LINE_BYTES
+
+    def test_unwritable_output_is_reported(self, tmp_path, capsys):
+        inp, blocker = tmp_path / "counts.jsonl", tmp_path / "file"
+        write_jsonl(inp, [{"n": 6, "c": 1}])
+        blocker.write_text("x")
+        assert main(["passk", "--input", str(inp), "--ks", "1", "--output", str(blocker / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {str(blocker / 'o')!r}")
+
 
 class TestGenCommand:
     def test_outputs_and_shapes(self, tmp_path, capsys):
@@ -461,6 +492,14 @@ class TestGenCommand:
     def test_bad_geometry_is_fatal(self, tmp_path, capsys):
         assert main(["gen", "--seed", "1", "--entities", "0", "--out", str(tmp_path / "x")]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_out_below_a_file_is_reported(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("x")
+        assert main(["gen", "--seed", "1", "--out", str(blocker / "sub")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {str(blocker / 'sub')!r}: ")
+        assert captured.out == ""
 
 
 def _float_alias_token(doc):
@@ -534,6 +573,29 @@ class TestTrainCommand:
         code = main(["train", "--config", str(cfg), "--lexicon", str(task / "lexicon.json"), "--out", str(tmp_path / "o")])
         assert code == 1
         assert "max_len must be >= 1" in capsys.readouterr().err
+
+    def test_out_below_a_file_reported_before_prior(self, tmp_path, capsys, monkeypatch):
+        task, blocker = tmp_path / "task", tmp_path / "file"
+        assert main(["gen", "--seed", "42", "--out", str(task)]) == 0
+        capsys.readouterr()
+        blocker.write_text("x")
+        monkeypatch.setattr("entrl.toytask.init_activation_prior", lambda *a, **k: pytest.fail("prior built"))
+        code = main(["train", "--lexicon", str(task / "lexicon.json"), "--out", str(blocker / "sub")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {str(blocker / 'sub')!r}: ")
+
+    def test_unreachable_prior_reported(self, tmp_path, capsys):
+        # A one-token response cannot hold a translation, so the prior's regime check fails.
+        task = tmp_path / "task"
+        assert main(["gen", "--seed", "42", "--out", str(task)]) == 0
+        capsys.readouterr()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"train": {"max_len": 1}}')
+        code = main(["train", "--config", str(cfg), "--lexicon", str(task / "lexicon.json"), "--out", str(tmp_path / "o")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: activation prior not reached in 10 attempts")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("case", ["vocab_size", "G"])
     def test_sizes_beyond_memory_exit_with_an_error(self, tmp_path, case):

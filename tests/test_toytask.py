@@ -1,5 +1,6 @@
 """Synthetic lexicon, bigram policy, rollouts, and the training loop."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -27,6 +28,9 @@ from entrl.toytask import (
     BOS,
     EOS,
     FILLER,
+    MAX_EVAL_SAMPLES,
+    PRIOR_ATTEMPTS,
+    PRIOR_K,
     SCORE_CACHE_SIZE,
     SRC_MARK,
     THINK_CLOSE,
@@ -496,6 +500,18 @@ class TestMeasurePassAtK:
         with pytest.raises(ValueError):
             measure_pass_at_k(small_policy(), **args)
 
+    @pytest.mark.parametrize("n", [MAX_EVAL_SAMPLES + 1, 10**12])
+    def test_n_above_the_sample_limit_rejected_before_allocating(self, n, monkeypatch):
+        import entrl.toytask as toytask
+
+        def no_streams(*args, **kw):
+            raise AssertionError("allocated before rejecting")
+
+        monkeypatch.setattr(toytask, "_spawned_streams", no_streams)
+        monkeypatch.setattr(toytask, "_sample_batch", no_streams)
+        with pytest.raises(ValueError, match=f"n = {n:,} samples .* exceeds MAX_EVAL_SAMPLES = 262,144"):
+            measure_pass_at_k(small_policy(), LEX.train_ids[:1], n=n, ks=(1,), seed=0)
+
     def test_memory_grows_with_tokens_emitted_not_max_len(self):
         # The prior's rollouts end at EOS within a few tokens; a sampler that
         # sized its buffers by rows x max_len would need ~40 GB here.
@@ -518,28 +534,18 @@ class TestPolicyConfig:
         {"max_len": 0},
         {"max_len": True},
         {"max_len": 2.5},
-        {"eval_samples": -1},
-        {"eval_samples": 0},
-        {"eval_samples": 64.0},
-        {"k_high": 0},
-        {"k_high": False},
-        {"k_high": 512},
-        {"max_attempts": 0},
-        {"max_attempts": True},
-        {"pass64_floor": float("nan")},
-        {"pass64_floor": float("inf")},
-        {"pass64_floor": -0.1},
-        {"pass64_floor": 1.5},
-        {"pass64_floor": True},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             PolicyConfig(**kwargs)
 
     def test_edge_values_allowed(self):
-        cfg = PolicyConfig(max_len=1, eval_samples=64, k_high=64, pass64_floor=1.0, max_attempts=1)
-        assert cfg.k_high == cfg.eval_samples
-        assert PolicyConfig(pass64_floor=0.0, max_len=np.int64(3)).pass64_floor == 0.0
+        assert PolicyConfig(max_len=1).max_len == 1
+        assert PolicyConfig(max_len=np.int64(3)).max_len == 3
+
+    def test_holds_only_temperature_and_max_len(self):
+        assert [f.name for f in dataclasses.fields(PolicyConfig)] == ["temperature", "max_len"]
+        assert (PolicyConfig().temperature, PolicyConfig().max_len) == (1.0, 24)
 
 
 class TestPriorStructure:
@@ -556,7 +562,7 @@ class TestPriorStructure:
 
 class TestInitActivationPrior:
     def test_reaches_latent_regime(self):
-        cfg = PolicyConfig(eval_samples=96, k_high=32, pass64_floor=0.5)
+        cfg = PolicyConfig()
         policy = init_activation_prior(LEX, cfg, target_pass1_max=0.15, seed=2)
         curve, _ = measure_pass_at_k(
             policy, LEX.train_ids, n=96, ks=(1, 32), seed=123
@@ -568,6 +574,12 @@ class TestInitActivationPrior:
     def test_table_above_the_cell_limit_rejected_before_allocating(self):
         with pytest.raises(ValueError, match="MAX_POLICY_CELLS"):
             init_activation_prior(huge_lexicon(), PolicyConfig(), target_pass1_max=0.1, seed=0)
+
+    def test_unreachable_regime_raises_after_the_attempt_limit(self):
+        # One token cannot hold a think block and a translation, so no attempt matches.
+        with pytest.raises(RuntimeError, match=f"not reached in {PRIOR_ATTEMPTS} attempts") as err:
+            init_activation_prior(LEX, PolicyConfig(max_len=1), target_pass1_max=0.1, seed=0)
+        assert f"(pass@1, pass@{PRIOR_K}) per attempt: {[(0.0, 0.0)] * PRIOR_ATTEMPTS!r}" in str(err.value)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -584,12 +596,7 @@ SMALL_OPTIM = OptimConfig(group_size=4, mini_batch_size=2, updates_per_batch=2)
 # Random logits almost never emit a well-formed response, so training on
 # them is a provable no-op (all rewards 0).  Reward-bearing tests start
 # from the structured prior instead; built once, copied per test.
-_PRIOR_LOGITS = init_activation_prior(
-    LEX,
-    PolicyConfig(eval_samples=64, k_high=16, pass64_floor=0.3),
-    target_pass1_max=0.3,
-    seed=2,
-).logits
+_PRIOR_LOGITS = init_activation_prior(LEX, PolicyConfig(), target_pass1_max=0.3, seed=2).logits
 
 
 def prior_policy():
@@ -901,6 +908,16 @@ class TestScoreCache:
             tracemalloc.stop()
         assert len(scores) == SCORE_CACHE_SIZE == 16384 and len(tuple_keys) == 8192
         assert cache_mb < bound_mb <= tuple_mb
+
+    def test_lookup_reads_gold_and_reference_by_row(self, monkeypatch):
+        batch = sample_batch(prior_policy(), 8)
+        expected = _Scores(LEX, toy_reward_config()).lookup(batch)
+
+        def no_id_lookup(self, entity_id):
+            raise AssertionError("looked up an entity id")
+
+        monkeypatch.setattr(SyntheticLexicon, "entity_index", no_id_lookup)
+        assert _Scores(LEX, toy_reward_config()).lookup(batch) == expected
 
     def test_measure_pass_at_k_counts_unchanged_by_the_bound(self, monkeypatch):
         import entrl.toytask as toytask
