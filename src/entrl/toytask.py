@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import numbers
 from dataclasses import astuple, dataclass, field, fields, replace
 from functools import cached_property, reduce
 from operator import add
@@ -332,6 +333,13 @@ def gen_lexicon(
     )
 
 
+def _check_temperature(temperature) -> None:
+    """A sampling temperature is a finite real number above 0; a boolean is not one."""
+    if isinstance(temperature, bool) or not isinstance(temperature, numbers.Real) \
+            or not 0.0 < temperature < np.inf:
+        raise ValueError(f"temperature must be finite and > 0, got {temperature!r}")
+
+
 @dataclass(frozen=True)
 class PolicyConfig:
     """The toy policy's sampling temperature and longest response; every toy-task
@@ -341,6 +349,7 @@ class PolicyConfig:
     max_len: int = 24
 
     def __post_init__(self) -> None:
+        _check_temperature(self.temperature)
         if not _is_int(self.max_len):
             raise ValueError(f"max_len must be an integer, got {self.max_len!r}")
         if self.max_len < 1:
@@ -477,8 +486,7 @@ class ToyPolicy:
         logits = np.ascontiguousarray(logits, dtype=float)
         if logits.shape != expected:
             raise ValueError(f"logits shape {logits.shape} != {expected}")
-        if isinstance(temperature, bool) or not 0.0 < temperature < np.inf:
-            raise ValueError(f"temperature must be finite and > 0, got {temperature}")
+        _check_temperature(temperature)
         self.lexicon = lexicon
         self.logits = logits
         self.temperature = float(temperature)

@@ -534,6 +534,19 @@ class TestPolicyConfig:
         {"max_len": 0},
         {"max_len": True},
         {"max_len": 2.5},
+        {"max_len": -1},
+        {"max_len": False},
+        {"max_len": 3.0},
+        {"max_len": np.float64(3)},
+        {"max_len": "3"},
+        {"max_len": None},
+        {"temperature": 0},
+        {"temperature": -1.0},
+        {"temperature": float("nan")},
+        {"temperature": float("inf")},
+        {"temperature": float("-inf")},
+        {"temperature": True},
+        {"temperature": "1.0"},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -542,6 +555,8 @@ class TestPolicyConfig:
     def test_edge_values_allowed(self):
         assert PolicyConfig(max_len=1).max_len == 1
         assert PolicyConfig(max_len=np.int64(3)).max_len == 3
+        assert PolicyConfig(temperature=1e-3).temperature == 1e-3
+        assert PolicyConfig(temperature=np.float32(0.5)).temperature == 0.5
 
     def test_holds_only_temperature_and_max_len(self):
         assert [f.name for f in dataclasses.fields(PolicyConfig)] == ["temperature", "max_len"]
