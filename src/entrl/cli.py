@@ -17,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from .evalkit import PassAtKInput, _is_int, pass_at_k_curve
+from .evalkit import PassAtKInput, _check_int, _is_int, pass_at_k_curve
 from .reward import ABLATIONS, RewardConfig, _check_ablation
 from .scoring import (RecordError, RewardService, _encode_reply, _read_lines, decode_line,
                       score_lines, serve_stdio, summarize)
@@ -276,34 +276,25 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _train_value(section: dict, key: str, default, kinds):
-    """``section[key]`` (or ``default``) if it is an instance of ``kinds`` and not a bool."""
-    value = section.get(key, default)
-    if kinds is int:
-        if not _is_int(value):
-            raise TypeError(f"{key} must be an integer, got {value!r}")
-    elif isinstance(value, bool) or not isinstance(value, kinds):
-        raise TypeError(f"{key} must be a number, got {value!r}")
-    return value
-
-
 def cmd_train(args: argparse.Namespace) -> int:
-    from .toytask import (PolicyConfig, SyntheticLexicon, init_activation_prior, measure_pass_at_k,
-                          metrics_to_csv, save_policy, toy_reward_config, train)
+    from .toytask import (PolicyConfig, SyntheticLexicon, _check_target_pass1_max, init_activation_prior,
+                          measure_pass_at_k, metrics_to_csv, save_policy, toy_reward_config, train)
 
     doc = load_config(args.config)
     reward_cfg = reward_config_from(doc, defaults=toy_reward_config())
     optim_cfg = optim_config_from(doc)
     section = doc.get("train", {})
 
+    steps = args.steps if args.steps is not None else section.get("steps", 2000)
+    seed = args.seed if args.seed is not None else section.get("seed", 0)
+    target = section.get("target_pass1_max", 0.10)
     try:
-        steps = args.steps if args.steps is not None else _train_value(section, "steps", 2000, int)
-        seed = args.seed if args.seed is not None else _train_value(section, "seed", 0, int)
-        policy_cfg = PolicyConfig(
-            temperature=float(_train_value(section, "temperature", PolicyConfig.temperature, (int, float))),
-            max_len=_train_value(section, "max_len", PolicyConfig.max_len, int))
-        target = float(_train_value(section, "target_pass1_max", 0.10, (int, float)))
-    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int beyond float range
+        _check_int("steps", steps, 0)
+        _check_int("seed", seed, 0)
+        _check_target_pass1_max(target)
+        policy_cfg = PolicyConfig(**{key: section[key] for key in ("temperature", "max_len")
+                                     if key in section})
+    except ValueError as exc:
         raise CliError(f"bad train config: {exc}") from None
     ablation = args.ablation or section.get("ablation", "full")
     try:

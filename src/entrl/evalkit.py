@@ -33,6 +33,12 @@ def _is_int(value) -> bool:
     return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _check_int(name: str, value, minimum: int) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer (``_is_int``) of at least ``minimum``."""
+    if not _is_int(value) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 # pass_at_k_single multiplies out at most this many factors of its product.
 EXACT_FACTORS = 10_000
 

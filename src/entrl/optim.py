@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evalkit import _is_int
+from .evalkit import _check_int
 
 __all__ = [
     "OptimConfig",
@@ -79,12 +79,8 @@ class OptimConfig:
     std_floor: float = 1e-6
 
     def __post_init__(self) -> None:
-        for name in ("group_size", "mini_batch_size", "updates_per_batch"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.group_size < 2:
-            raise ValueError(f"group_size must be >= 2, got {self.group_size}")
+        for name, minimum in (("group_size", 2), ("mini_batch_size", 1), ("updates_per_batch", 1)):
+            _check_int(name, getattr(self, name), minimum)
         for name in ("eps_low", "eps_high", "learning_rate", "std_floor"):
             if isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be a real number, not a boolean")
@@ -94,8 +90,6 @@ class OptimConfig:
                 raise ValueError(f"{name} must be in (0, 1), got {eps}")
         if not 0.0 <= self.learning_rate < np.inf:
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
-        if self.mini_batch_size < 1 or self.updates_per_batch < 1:
-            raise ValueError("mini_batch_size and updates_per_batch must be >= 1")
         if (n := self.group_size * self.mini_batch_size * self.updates_per_batch) > MAX_ROLLOUTS_PER_STEP:
             raise ValueError(f"group_size x mini_batch_size x updates_per_batch = {self.group_size} x "
                              f"{self.mini_batch_size} x {self.updates_per_batch} = {n:,} rollouts per step "

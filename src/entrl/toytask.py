@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .evalkit import PassAtKCurve, PassAtKInput, _is_int, pass_at_k_curve
+from .evalkit import PassAtKCurve, PassAtKInput, _check_int, _is_int, pass_at_k_curve
 from .optim import GroupMember, OptimConfig, RolloutGroup, _row_reduce, policy_update_step
 from .reward import RewardBreakdown, RewardConfig, _check_ablation, _measured_length, score_response
 from .textnorm import GoldEntitySet
@@ -111,10 +111,7 @@ class SyntheticLexicon:
     golds: tuple[GoldEntitySet, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not _is_int(self.vocab_size):
-            raise ValueError(f"vocab_size must be an integer, got {self.vocab_size!r}")
-        if self.vocab_size <= FILLER + 1:
-            raise ValueError(f"vocab_size {self.vocab_size} leaves no alias tokens")
+        _check_int("vocab_size", self.vocab_size, FILLER + 2)  # one alias token at least
         ids = [e.entity_id for e in self.entities]
         if not all(isinstance(i, str) for i in (*ids, *self.train_ids, *self.test_ids)):
             raise ValueError("entity ids must be strings")
@@ -260,16 +257,10 @@ def gen_lexicon(
     alias to form the canonical reference; (0, 0) makes the length bound
     tau * mean reference length as tight as the alias itself.
     """
-    for name, value in (("seed", seed), ("n_entities", n_entities),
-                        ("aliases_per_entity", aliases_per_entity), ("vocab_size", vocab_size)):
-        if not _is_int(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
-    if n_entities < 2:
-        raise ValueError("need at least 2 entities to split")
-    if aliases_per_entity < 1:
-        raise ValueError(f"aliases_per_entity must be >= 1, got {aliases_per_entity}")
+    for name, value, minimum in (("seed", seed, 0), ("n_entities", n_entities, 2),
+                                 ("aliases_per_entity", aliases_per_entity, 1),
+                                 ("vocab_size", vocab_size, FILLER + 2)):
+        _check_int(name, value, minimum)
     lo, hi = alias_len_range
     if not (_is_int(lo) and _is_int(hi) and 1 <= lo <= hi):
         raise ValueError(f"bad alias_len_range {alias_len_range!r}")
@@ -334,10 +325,15 @@ def gen_lexicon(
 
 
 def _check_temperature(temperature) -> None:
-    """A sampling temperature is a finite real number above 0; a boolean is not one."""
-    if isinstance(temperature, bool) or not isinstance(temperature, numbers.Real) \
-            or not 0.0 < temperature < np.inf:
-        raise ValueError(f"temperature must be finite and > 0, got {temperature!r}")
+    """A sampling temperature is a real number whose ``float`` is finite and above 0; a boolean
+    is not one."""
+    try:
+        if not isinstance(temperature, bool) and isinstance(temperature, numbers.Real) \
+                and 0.0 < float(temperature) < np.inf:
+            return
+    except OverflowError:  # an integer beyond float range
+        pass
+    raise ValueError(f"temperature must be finite and > 0, got {temperature!r}")
 
 
 @dataclass(frozen=True)
@@ -350,10 +346,7 @@ class PolicyConfig:
 
     def __post_init__(self) -> None:
         _check_temperature(self.temperature)
-        if not _is_int(self.max_len):
-            raise ValueError(f"max_len must be an integer, got {self.max_len!r}")
-        if self.max_len < 1:
-            raise ValueError(f"max_len must be >= 1, got {self.max_len}")
+        _check_int("max_len", self.max_len, 1)
 
 
 # numpy's SeedSequence hash and PCG64 generator (numpy/random/bit_generator.pyx,
@@ -591,11 +584,10 @@ class RolloutScore:
 
 @dataclass(frozen=True)
 class _RolloutBatch:
-    """One lockstep batch's rollouts as arrays.  Row ``i`` is entity ``entity_ids[i]``
-    (lexicon index ``rows[i]``) with ``tokens[i]``; its ``token_ids``, snapshot ``old_logp``
-    and ``entropies`` are ``offsets[i]:offsets[i + 1]`` of the flat arrays."""
+    """One lockstep batch's rollouts as arrays.  Row ``i`` is the entity at lexicon index
+    ``rows[i]`` with ``tokens[i]``; its ``token_ids``, snapshot ``old_logp`` and
+    ``entropies`` are ``offsets[i]:offsets[i + 1]`` of the flat arrays."""
 
-    entity_ids: list[str]
     rows: np.ndarray
     tokens: list[tuple[int, ...]]
     token_ids: np.ndarray
@@ -604,9 +596,10 @@ class _RolloutBatch:
     offsets: np.ndarray
     truncated: np.ndarray
 
-    def rollout(self, i: int) -> Rollout:
+    def rollout(self, i: int, entity_id: str) -> Rollout:
+        """Row ``i`` as a record; ``entity_id`` is the id of its lexicon row."""
         start, end = self.offsets[i], self.offsets[i + 1]
-        return Rollout(self.entity_ids[i], self.tokens[i], self.old_logp[start:end],
+        return Rollout(entity_id, self.tokens[i], self.old_logp[start:end],
                        bool(self.truncated[i]), self.entropies[start:end])
 
 
@@ -620,14 +613,15 @@ def _next_tokens(cum_rows: np.ndarray, u: np.ndarray, vocab_size: int) -> np.nda
     return np.minimum(np.count_nonzero(cum_rows <= u[:, None], axis=1), vocab_size - 1)
 
 
-def _check_max_len(max_len) -> None:
-    if not _is_int(max_len) or max_len < 1:
-        raise ValueError(f"max_len must be an integer >= 1, got {max_len!r}")
+# Tokens one ``_sample_batch`` call may emit: ~106 B each in flight (tracemalloc, with EOS rarely
+# drawn), so ~0.9 GB at the limit; 2**18 rollouts of the default max_len 24 are 2**18 x 24 = 6.3M.
+MAX_SAMPLED_TOKENS = 2**23
 
 
-def _sample_batch(policy: ToyPolicy, entity_ids, streams: np.ndarray, max_len: int) -> _RolloutBatch:
-    """Sample one rollout per ``(entity_ids[i], streams[:, i])`` row, all rows
-    in lockstep, into one batch record.
+def _sample_batch(policy: ToyPolicy, ent_rows: np.ndarray, streams: np.ndarray,
+                  max_len: int) -> _RolloutBatch:
+    """Sample one rollout per ``(ent_rows[i], streams[:, i])`` row, where ``ent_rows[i]``
+    is an entity's lexicon index, all rows in lockstep, into one batch record.
 
     Row ``i`` takes its uniforms from its own stream, one per token while
     the row is alive, so its rollout does not depend on the other rows.
@@ -635,18 +629,21 @@ def _sample_batch(policy: ToyPolicy, entity_ids, streams: np.ndarray, max_len: i
     or ``_seed_streams``), and each equals, draw for draw, the
     ``default_rng`` it stands for; a dead row's stream is dropped with its
     state.  Memory grows with the tokens emitted, not with
-    ``max_len``.
+    ``max_len``, and more than ``MAX_SAMPLED_TOKENS`` of them raise ``ValueError``.
     """
-    _check_max_len(max_len)
+    _check_int("max_len", max_len, 1)
     vocab = policy.lexicon.vocab_size
     logp_table, cum_table, ent_table = policy._old_tables()
     logp_table, cum_table = logp_table.reshape(-1, vocab), cum_table.reshape(-1, vocab)
     ent_table = ent_table.reshape(-1)
-    ent_rows = np.fromiter(map(policy.lexicon.entity_index, entity_ids), np.intp, len(entity_ids))
-    rows, base = np.arange(len(entity_ids)), vocab * ent_rows
+    rows, base = np.arange(len(ent_rows)), vocab * ent_rows
     states = base + BOS
-    emitted = []  # per position: (rows alive, their tokens, log-probs, entropies)
+    emitted, n_emitted = [], 0  # per position: (rows alive, their tokens, log-probs, entropies)
     for _ in range(max_len):
+        n_emitted += rows.size
+        if n_emitted > MAX_SAMPLED_TOKENS:
+            raise ValueError(f"{len(ent_rows):,} rollouts of max_len {max_len:,} emitted more than "
+                             f"MAX_SAMPLED_TOKENS = {MAX_SAMPLED_TOKENS:,} tokens")
         u, streams = _pcg_uniforms(streams)
         toks = _next_tokens(cum_table[states], u, vocab)
         emitted.append((rows, toks, logp_table[states, toks], ent_table[states]))
@@ -661,9 +658,9 @@ def _sample_batch(policy: ToyPolicy, entity_ids, streams: np.ndarray, max_len: i
     # Emitted position by position; a stable sort by row keeps each row's positions in order.
     order = np.argsort(row_of, kind="stable")
     token_ids = toks_at[order]
-    offsets = np.concatenate(([0], np.cumsum(np.bincount(row_of, minlength=len(entity_ids)))))
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(row_of, minlength=len(ent_rows)))))
     toks, bounds = token_ids.tolist(), offsets.tolist()
-    return _RolloutBatch(entity_ids, ent_rows, [tuple(toks[a:b]) for a, b in zip(bounds, bounds[1:])],
+    return _RolloutBatch(ent_rows, [tuple(toks[a:b]) for a, b in zip(bounds, bounds[1:])],
                          token_ids, logps_at[order], ents_at[order], offsets,
                          token_ids[offsets[1:] - 1] != EOS)
 
@@ -688,7 +685,8 @@ def sample_rollout(policy: ToyPolicy, entity_id: str, max_len: int, seed) -> Rol
         raise TypeError(
             f"seed must be an int, a tuple or a SeedSequence, got {type(seed).__name__}"
         )
-    return _sample_batch(policy, [entity_id], _seed_streams([seed]), max_len).rollout(0)
+    ent_rows = np.array([policy.lexicon.entity_index(entity_id)])
+    return _sample_batch(policy, ent_rows, _seed_streams([seed]), max_len).rollout(0, entity_id)
 
 
 def render_response(lexicon: SyntheticLexicon, tokens: tuple[int, ...], config: RewardConfig) -> str:
@@ -770,19 +768,18 @@ def measure_pass_at_k(
     if n > MAX_EVAL_SAMPLES:
         raise ValueError(f"n = {n:,} samples per entity x ~2.3 KB = ~{n * 2.3e-6:,.1f} GB exceeds "
                          f"MAX_EVAL_SAMPLES = {MAX_EVAL_SAMPLES:,}")
-    if not _is_int(seed) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    entity_ids = tuple(entity_ids)
-    if not entity_ids:
+    _check_int("seed", seed, 0)
+    ent_rows = list(map(policy.lexicon.entity_index, entity_ids))
+    if not ent_rows:
         raise ValueError("no entity ids")
     if config is None:
         config = toy_reward_config()
     counts, scores = [], _Scores(policy.lexicon, config)
-    for e_idx, ent_id in enumerate(entity_ids):
+    for e_idx, row in enumerate(ent_rows):
         # One batch per entity: one batch for all gives the same counts, but raised
         # the train benchmark's peak_rss_mb from 45.1-45.2 to 59.5-59.6 MB (4 of 4 runs).
         streams = _spawned_streams([(seed, _STREAM_EVAL, e_idx)], n)
-        scored = scores.lookup(_sample_batch(policy, [ent_id] * n, streams, max_len))
+        scored = scores.lookup(_sample_batch(policy, np.full(n, row), streams, max_len))
         counts.append(sum(breakdown.match for breakdown, _ in scored))
     curve = pass_at_k_curve(replace(data, counts=tuple(counts)))
     return curve, tuple(counts)
@@ -850,6 +847,12 @@ def _structured_logits(
 PRIOR_SAMPLES, PRIOR_K, PRIOR_PASS_K_FLOOR, PRIOR_ATTEMPTS = 256, 64, 0.70, 10
 
 
+def _check_target_pass1_max(target) -> None:
+    """The prior's pass@1 target is a real number in (0, 1); a boolean is not one."""
+    if isinstance(target, bool) or not isinstance(target, numbers.Real) or not 0.0 < target < 1.0:
+        raise ValueError(f"target_pass1_max must be in (0, 1), got {target!r}")
+
+
 def init_activation_prior(
     lexicon: SyntheticLexicon,
     policy_cfg: PolicyConfig,
@@ -867,8 +870,8 @@ def init_activation_prior(
     stays at or above ``PRIOR_PASS_K_FLOOR``.  Raises with the measured
     rates if the regime is not reached within ``PRIOR_ATTEMPTS``.
     """
-    if not 0.0 < target_pass1_max < 1.0:
-        raise ValueError(f"target_pass1_max must be in (0, 1), got {target_pass1_max}")
+    _check_target_pass1_max(target_pass1_max)
+    _check_int("seed", seed, 0)
     if structure is None:
         structure = PriorStructure()
 
@@ -970,11 +973,9 @@ def train(
     Every random choice derives from ``seed`` through tagged substreams,
     so identical calls produce identical metrics and parameters.
     """
-    if not _is_int(steps) or steps < 0:
-        raise ValueError(f"steps must be an integer >= 0, got {steps!r}")
-    if not _is_int(seed) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    _check_max_len(max_len)
+    _check_int("steps", steps, 0)
+    _check_int("seed", seed, 0)
+    _check_int("max_len", max_len, 1)
     _check_ablation(ablation)
     if lexicon != policy.lexicon:
         raise ValueError("lexicon is not the policy's lexicon")
@@ -982,7 +983,7 @@ def train(
         raise ValueError("lexicon has no train entities")
 
     batch_size = optim_cfg.mini_batch_size * optim_cfg.updates_per_batch
-    train_ids = np.asarray(lexicon.train_ids)
+    train_rows = np.array(list(map(lexicon.entity_index, lexicon.train_ids)))
 
     metrics: list[TrainMetricsRow] = []
     scores = _Scores(lexicon, reward_cfg, ablation)
@@ -992,11 +993,12 @@ def train(
         prompt_rng = np.random.default_rng(
             np.random.SeedSequence((seed, _STREAM_PROMPTS, step))
         )
-        prompt_ids = prompt_rng.choice(train_ids, size=batch_size, replace=True).tolist()
+        prompt_rows = prompt_rng.choice(train_rows, size=batch_size, replace=True)
+        prompt_ids = [lexicon.entities[row].entity_id for row in prompt_rows.tolist()]
 
         size = optim_cfg.group_size
         streams = _spawned_streams([(seed, _STREAM_ROLLOUT, step, p) for p in range(batch_size)], size)
-        batch = _sample_batch(policy, [e for e in prompt_ids for _ in range(size)], streams, max_len)
+        batch = _sample_batch(policy, np.repeat(prompt_rows, size), streams, max_len)
         scored, bounds = scores.lookup(batch), batch.offsets.tolist()
         members = [GroupMember(tokens, batch.old_logp[a:b], breakdown.reward)
                    for tokens, a, b, (breakdown, _) in zip(batch.tokens, bounds, bounds[1:], scored)]
@@ -1010,7 +1012,8 @@ def train(
             )
             policy_update_step(policy, groups, optim_cfg, rng=shuffle_rng)
 
-    final = [RolloutScore(batch.rollout(i), *score) for i, score in enumerate(scored)]
+    final = [RolloutScore(batch.rollout(i, prompt_ids[i // size]), *score)
+             for i, score in enumerate(scored)]
     return TrainResult(policy=policy, metrics=metrics, final_rollouts=final)
 
 

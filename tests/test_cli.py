@@ -543,16 +543,26 @@ class TestTrainCommand:
         assert code == 1
         assert "unknown ablation" in capsys.readouterr().err
 
-    def test_bad_train_value_reported(self, tmp_path, capsys):
-        # Counts are integers and the rest real numbers; nothing is coerced.
+    def test_bad_train_value_reported(self, tmp_path, capsys, monkeypatch):
+        # Counts are integers and the rest real numbers; nothing is coerced.  A bad value from
+        # the config or a flag is reported before --out is created or the prior is built.
+        task, out = tmp_path / "task", tmp_path / "o"
+        assert main(["gen", "--seed", "42", "--out", str(task)]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr("entrl.toytask.init_activation_prior", lambda *a, **k: pytest.fail("prior built"))
         cfg = tmp_path / "cfg.json"
-        for train in ('{"steps": "abc"}', '{"steps": 2.9}', '{"seed": "3"}', '{"max_len": true}',
-                      '{"temperature": "1.0"}', '{"temperature": false}', '{"temperature": ' + str(10**400) + "}",
-                      '{"target_pass1_max": "0.1"}', '{"target_pass1_max": true}'):
+        cases = [(train, []) for train in (
+            '{"steps": "abc"}', '{"steps": 2.9}', '{"steps": -1}', '{"seed": "3"}', '{"max_len": true}',
+            '{"temperature": "1.0"}', '{"temperature": false}', '{"temperature": ' + str(10**400) + "}",
+            '{"target_pass1_max": "0.1"}', '{"target_pass1_max": true}')]
+        cases += [("{}", ["--steps", "-1"]), ("{}", ["--seed", "-1"])]
+        for train, flags in cases:
             cfg.write_text('{"train": ' + train + "}")
-            code = main(["train", "--config", str(cfg), "--lexicon", "x", "--out", str(tmp_path / "o")])
-            assert code == 1, train
-            assert "bad train config" in capsys.readouterr().err, train
+            code = main(["train", "--config", str(cfg), "--lexicon", str(task / "lexicon.json"),
+                         "--out", str(out), *flags])
+            assert code == 1, (train, flags)
+            assert capsys.readouterr().err.startswith("error: bad train config: "), (train, flags)
+            assert not out.exists(), (train, flags)
 
     def test_non_integer_group_size_rejected_before_prior(self, tmp_path, capsys, monkeypatch):
         task = tmp_path / "task"
@@ -572,7 +582,7 @@ class TestTrainCommand:
         cfg.write_text('{"train": {"max_len": 0}}')
         code = main(["train", "--config", str(cfg), "--lexicon", str(task / "lexicon.json"), "--out", str(tmp_path / "o")])
         assert code == 1
-        assert "max_len must be >= 1" in capsys.readouterr().err
+        assert "bad train config: max_len must be an integer >= 1, got 0" in capsys.readouterr().err
 
     def test_out_below_a_file_reported_before_prior(self, tmp_path, capsys, monkeypatch):
         task, blocker = tmp_path / "task", tmp_path / "file"

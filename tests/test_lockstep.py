@@ -116,9 +116,10 @@ class TestLockstepSampler:
         rows = 120
         ids = [IDS[i % len(IDS)] for i in range(rows)]
         seeds = [np.random.SeedSequence((3, i)) if i % 3 else i for i in range(rows)]
-        batch = _sample_batch(policy, ids, _seed_streams(seeds), max_len)
+        ent_rows = np.array([LEX.entity_index(ent) for ent in ids])
+        batch = _sample_batch(policy, ent_rows, _seed_streams(seeds), max_len)
         assert len(batch.tokens) == rows
-        rollouts = [batch.rollout(i) for i in range(rows)]
+        rollouts = [batch.rollout(i, ent) for i, ent in enumerate(ids)]
         for ro, ent, seed in zip(rollouts, ids, seeds):
             assert ro.entity_id == ent
             assert_same_rollout(ro, sample_rollout_loop(policy, ent, max_len, seed))

@@ -1,6 +1,7 @@
 """Synthetic lexicon, bigram policy, rollouts, and the training loop."""
 
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -23,12 +24,14 @@ from entrl import (
     toy_reward_config,
     train,
 )
+from entrl.optim import MAX_ROLLOUTS_PER_STEP
 from entrl.reward import ABLATIONS, score_response
 from entrl.toytask import (
     BOS,
     EOS,
     FILLER,
     MAX_EVAL_SAMPLES,
+    MAX_SAMPLED_TOKENS,
     PRIOR_ATTEMPTS,
     PRIOR_K,
     SCORE_CACHE_SIZE,
@@ -295,7 +298,8 @@ class TestToyPolicy:
     def test_n_params(self):
         assert small_policy().n_params == 6 * 32 * 32
 
-    @pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan"), float("inf"), True])
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan"), float("inf"), True,
+                                             pytest.param(10**400, id="10**400")])
     def test_temperature_validation(self, temperature):
         with pytest.raises(ValueError, match="temperature"):
             ToyPolicy(LEX, np.zeros((6, 32, 32)), temperature=temperature)
@@ -528,6 +532,67 @@ class TestMeasurePassAtK:
         assert len(counts) == 2
         assert peak < 4 * 2**20
 
+    def test_sampled_tokens_above_the_ceiling_rejected(self, monkeypatch):
+        # The ceiling holds every rollout of the largest batch at the default max_len.
+        assert MAX_SAMPLED_TOKENS >= max(MAX_EVAL_SAMPLES, MAX_ROLLOUTS_PER_STEP) * PolicyConfig.max_len
+        import entrl.toytask as toytask
+
+        monkeypatch.setattr(toytask, "MAX_SAMPLED_TOKENS", 1000)
+        policy = small_policy()
+        policy.logits[:, :, EOS] = -30.0  # EOS is never drawn
+        policy.snapshot()
+        ids = LEX.train_ids[:1]
+        _, counts = measure_pass_at_k(policy, ids, n=8, ks=(1,), seed=0, max_len=125)  # 1,000 tokens
+        assert counts == (0,)
+        # Sizes stay small even if the check were gone: 1,600 and 3,200 tokens.
+        with pytest.raises(ValueError, match="8 rollouts of max_len 200 emitted more than "
+                                             "MAX_SAMPLED_TOKENS = 1,000 tokens"):
+            measure_pass_at_k(policy, ids, n=8, ks=(1,), seed=0, max_len=200)
+        with pytest.raises(ValueError, match="MAX_SAMPLED_TOKENS"):
+            train(LEX, policy, toy_reward_config(), SMALL_OPTIM, steps=1, max_len=200)
+
+
+def _int_rule_cases():
+    """(call with the value, name, minimum) for each integer rule of the toy task and the
+    optimizer config, with the entry point as its id."""
+    ent = LEX.train_ids[0]
+    lexicon = {"seed": 0, "n_entities": 4, "vocab_size": 32}
+    run = {"steps": 1, "seed": 0}
+    return [
+        *(pytest.param(lambda v, name=name: gen_lexicon(**{**lexicon, name: v}), name, low,
+                       id=f"gen_lexicon.{name}")
+          for name, low in (("seed", 0), ("n_entities", 2), ("aliases_per_entity", 1),
+                            ("vocab_size", FILLER + 2))),
+        pytest.param(lambda v: SyntheticLexicon.from_dict(edited_lexicon_doc(("vocab_size",), v)),
+                     "vocab_size", FILLER + 2, id="SyntheticLexicon.vocab_size"),
+        pytest.param(lambda v: PolicyConfig(max_len=v), "max_len", 1, id="PolicyConfig.max_len"),
+        pytest.param(lambda v: sample_rollout(small_policy(), ent, v, 0), "max_len", 1,
+                     id="sample_rollout.max_len"),
+        pytest.param(lambda v: measure_pass_at_k(small_policy(), [ent], n=2, ks=(1,), seed=v),
+                     "seed", 0, id="measure_pass_at_k.seed"),
+        pytest.param(lambda v: measure_pass_at_k(small_policy(), [ent], n=2, ks=(1,), seed=0, max_len=v),
+                     "max_len", 1, id="measure_pass_at_k.max_len"),
+        *(pytest.param(lambda v, name=name: train(LEX, small_policy(), toy_reward_config(), SMALL_OPTIM,
+                                                  **{**run, name: v}), name, low, id=f"train.{name}")
+          for name, low in (("steps", 0), ("seed", 0), ("max_len", 1))),
+        pytest.param(lambda v: init_activation_prior(LEX, PolicyConfig(), target_pass1_max=0.1, seed=v),
+                     "seed", 0, id="init_activation_prior.seed"),
+        *(pytest.param(lambda v, name=name: OptimConfig(**{name: v}), name, low, id=f"OptimConfig.{name}")
+          for name, low in (("group_size", 2), ("mini_batch_size", 1), ("updates_per_batch", 1))),
+    ]
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, "3", "floor"])
+@pytest.mark.parametrize("call, name, low", _int_rule_cases())
+def test_integer_rule_rejects_before_sampling(call, name, low, bad, monkeypatch):
+    # One rule and one message for every integer with a lower bound; nothing is sampled first.
+    import entrl.toytask as toytask
+
+    monkeypatch.setattr(toytask, "_pcg_uniforms", lambda *a: pytest.fail("sampled before rejecting"))
+    value = low - 1 if bad == "floor" else bad
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer >= {low}, got {value!r}")):
+        call(value)
+
 
 class TestPolicyConfig:
     @pytest.mark.parametrize("kwargs", [
@@ -547,6 +612,7 @@ class TestPolicyConfig:
         {"temperature": float("-inf")},
         {"temperature": True},
         {"temperature": "1.0"},
+        {"temperature": 10**400},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -820,18 +886,18 @@ class TestMetricsRowOracle:
 
 def batch_of(lexicon, pairs) -> _RolloutBatch:
     """A batch record of ``(entity_id, tokens)`` rows, with zero log-probs and entropies."""
-    entity_ids, tokens = [e for e, _ in pairs], [toks for _, toks in pairs]
+    tokens = [toks for _, toks in pairs]
     flat = np.array([t for toks in tokens for t in toks], dtype=np.intp)
     offsets = np.concatenate(([0], np.cumsum([len(toks) for toks in tokens])))
-    rows = np.array([lexicon.entity_index(e) for e in entity_ids])
+    rows = np.array([lexicon.entity_index(e) for e, _ in pairs])
     zeros = np.zeros(len(flat))
-    return _RolloutBatch(entity_ids, rows, tokens, flat, zeros, zeros, offsets, flat[offsets[1:] - 1] != EOS)
+    return _RolloutBatch(rows, tokens, flat, zeros, zeros, offsets, flat[offsets[1:] - 1] != EOS)
 
 
 def sample_batch(policy, n: int) -> _RolloutBatch:
     """``n`` rollouts of each entity, one lockstep batch."""
-    ids = [e.entity_id for e in policy.lexicon.entities for _ in range(n)]
-    return _sample_batch(policy, ids, _seed_streams(range(len(ids))), 24)
+    rows = np.repeat(np.arange(len(policy.lexicon.entities)), n)
+    return _sample_batch(policy, rows, _seed_streams(range(len(rows))), 24)
 
 
 def counted_scorer(monkeypatch):
