@@ -30,6 +30,8 @@ rewards = np.array([1.2, 0.2, 0.2, 0.2])
 print("rewards    ", rewards)
 print("advantages ", np.round(group_advantages(rewards), 4))
 print("flat group ", group_advantages(np.full(4, 0.2)))
+# Equal-size groups normalize in one call, one group per row, each row as its own call.
+print("both at once", np.round(group_advantages(np.stack([rewards, np.full(4, 0.2)])), 4).tolist())
 print()
 
 # The ratio is per-token in log space, then averaged, then exponentiated,

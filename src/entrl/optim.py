@@ -25,8 +25,11 @@ and ``coeffs`` hold one entry per token:
 - ``token_states(prompt_ids, tokens, lengths)``: the state each token of
   the concatenated sequences is drawn from, given each sequence's prompt
   and length;
-- ``state_logps(states, tokens)``: live log-probabilities;
-- ``new_grad()`` and ``accumulate_score_grad(states, tokens, coeffs, grad)``, which
+- ``state_rows(states)``: the live rows of those states, computed once per
+  update pass (and once per objective).  The result's ``logps(tokens)``
+  gives the live log-probabilities, and ``rows[keep]`` selects the rows of
+  a subset of the tokens, for the gradient;
+- ``new_grad()`` and ``accumulate_score_grad(rows, tokens, coeffs, grad)``, which
   adds ``coeffs[i]`` times row ``i``'s score gradient, in row order, into a fresh ``new_grad()``;
 - ``apply_gradient(grad, learning_rate)``.
 
@@ -38,6 +41,7 @@ passes over the same batch cannot push a sequence further.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,21 +85,32 @@ class OptimConfig:
     def __post_init__(self) -> None:
         for name, minimum in (("group_size", 2), ("mini_batch_size", 1), ("updates_per_batch", 1)):
             _check_int(name, getattr(self, name), minimum)
-        for name in ("eps_low", "eps_high", "learning_rate", "std_floor"):
-            if isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be a real number, not a boolean")
-        for name in ("eps_low", "eps_high"):
-            eps = getattr(self, name)
+        eps_low, eps_high, learning_rate, std_floor = (
+            _real(name, getattr(self, name)) for name in ("eps_low", "eps_high", "learning_rate", "std_floor"))
+        for name, eps in (("eps_low", eps_low), ("eps_high", eps_high)):
             if not 0.0 < eps < 1.0:
-                raise ValueError(f"{name} must be in (0, 1), got {eps}")
-        if not 0.0 <= self.learning_rate < np.inf:
+                raise ValueError(f"{name} must be in (0, 1), got {getattr(self, name)}")
+        if not 0.0 <= learning_rate < np.inf:
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if (n := self.group_size * self.mini_batch_size * self.updates_per_batch) > MAX_ROLLOUTS_PER_STEP:
             raise ValueError(f"group_size x mini_batch_size x updates_per_batch = {self.group_size} x "
                              f"{self.mini_batch_size} x {self.updates_per_batch} = {n:,} rollouts per step "
                              f"exceeds MAX_ROLLOUTS_PER_STEP = {MAX_ROLLOUTS_PER_STEP:,}")
-        if not 0.0 < self.std_floor < np.inf:
+        if not 0.0 < std_floor < np.inf:
             raise ValueError(f"std_floor must be finite and positive, got {self.std_floor}")
+
+
+def _real(name: str, value) -> float:
+    """``float(value)``, so a range check compares the number the optimizer will use; a boolean, a
+    non-real (a string, say) or an integer beyond float range raises ``ValueError`` naming ``name``."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, not a boolean")
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an integer beyond float range") from None
 
 
 @dataclass(frozen=True)
@@ -126,18 +141,18 @@ def group_advantages(rewards, std_floor: float = 1e-6) -> np.ndarray:
     Uses the population standard deviation (divide by G).  A degenerate
     group, std below ``std_floor``, yields all-zero advantages: identical
     rewards carry no preference signal and are skipped rather than amplified.
+    A 2-d array holds one group of equal size per row, and each row gets the
+    bytes of its own 1-d call.
     """
     r = np.asarray(rewards, dtype=float)
-    if r.ndim != 1:
-        raise ValueError(f"rewards must be 1-d, got shape {r.shape}")
-    if r.size < 2:
-        raise ValueError(f"need at least 2 rewards to normalize, got {r.size}")
-    dev = r - r.mean()
+    if r.ndim not in (1, 2):
+        raise ValueError(f"rewards must be 1-d, or 2-d with one group per row, got shape {r.shape}")
+    if r.shape[-1] < 2:
+        raise ValueError(f"need at least 2 rewards to normalize, got {r.shape[-1]}")
+    dev = r - r.mean(axis=-1, keepdims=True)
     # np.std's own arithmetic, reusing the deviations.
-    std = float(np.sqrt(np.add.reduce(dev * dev) / r.size))
-    if std < std_floor:
-        return np.zeros_like(r)
-    return dev / std
+    std = np.sqrt(np.add.reduce(dev * dev, axis=-1, keepdims=True) / r.shape[-1])
+    return np.divide(dev, std, out=np.zeros_like(r), where=~(std < std_floor))
 
 
 def seq_importance_ratio(new_logp, old_logp):
@@ -208,28 +223,32 @@ def _check_groups(policy, groups: list[RolloutGroup], config: OptimConfig) -> _B
     finite = np.isfinite(rewards)
     if not finite.all():
         raise ValueError(f"reward must be finite, got {members[int(np.argmin(finite))].reward!r}")
-    lengths = np.array([len(m.tokens) for m in members])
+    token_seqs = [m.tokens for m in members]
+    lengths = np.fromiter(map(len, token_seqs), np.intp, len(members))
     if not lengths.all():
         raise ValueError("empty token sequence")
-    shapes = [np.shape(m.old_logp) for m in members]
-    bad = next((i for i, shape in enumerate(shapes) if shape != (lengths[i],)), None)
-    if bad is not None:
+    old_logps = [m.old_logp for m in members]
+    try:
+        shapes = [old.shape for old in old_logps]
+    except AttributeError:  # not all arrays: np.shape reads them as np.asarray would
+        shapes = list(map(np.shape, old_logps))
+    if shapes != list(zip(lengths.tolist())):
+        bad = next(i for i, shape in enumerate(shapes) if shape != (lengths[i],))
         raise ValueError(f"old_logp shape {shapes[bad]} != ({lengths[bad]},)")
-    old_logp = np.concatenate([m.old_logp for m in members]).astype(float, copy=False)
+    old_logp = np.concatenate(old_logps).astype(float, copy=False)
     if np.any(old_logp > 0.0):
         raise ValueError("log-probabilities must be <= 0")
 
-    tokens = np.fromiter(itertools.chain.from_iterable(m.tokens for m in members),
-                         dtype=np.intp, count=int(lengths.sum()))
+    tokens = np.fromiter(itertools.chain.from_iterable(token_seqs), dtype=np.intp, count=int(lengths.sum()))
     states = policy.token_states([grp.prompt_id for grp in groups for _ in grp.members],
                                  tokens, lengths)
 
     group_sizes = np.array([len(grp.members) for grp in groups])
     group_starts = np.concatenate(([0], np.cumsum(group_sizes)))
-    advantages = np.concatenate([
-        group_advantages(rewards[a:b], config.std_floor)
-        for a, b in zip(group_starts[:-1], group_starts[1:])
-    ])
+    advantages = np.empty(len(members))
+    for size in sorted(set(group_sizes.tolist())):  # one call for equal-size groups
+        idx = group_starts[:-1][group_sizes == size, None] + np.arange(size)
+        advantages[idx] = group_advantages(rewards[idx], config.std_floor)
     return _Batch(
         states=states, tokens=tokens, old_logp=old_logp,
         starts=np.cumsum(lengths) - lengths, lengths=lengths, advantages=advantages,
@@ -237,25 +256,56 @@ def _check_groups(policy, groups: list[RolloutGroup], config: OptimConfig) -> _B
     )
 
 
-def _row_reduce(fn, lengths: np.ndarray, *flat: np.ndarray) -> np.ndarray:
-    """``fn`` (a last-axis reduction) of each concatenated row of ``lengths`` in ``flat``, bit for bit
-    as on that row alone: one ``(n, L)`` block per length, as padded rows would regroup partial sums."""
-    out = np.empty(len(lengths))
-    offsets = np.cumsum(lengths) - lengths
-    for length in np.flatnonzero(np.bincount(lengths)):
-        sel = np.flatnonzero(lengths == length)
-        idx = offsets[sel, None] + np.arange(length)
-        out[sel] = fn(*(a[idx] for a in flat))
+# numpy's pairwise summation (PW_BLOCKSIZE in loops_utils.h): a row of at most this many elements is
+# summed into 8 accumulators, then the remainder is added in order; a longer row is split in two.
+_PAIRWISE_BLOCK = 128
+
+
+def _pairwise(padded: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """numpy's ``pairwise_sum`` of each row ``padded[starts[i]:starts[i] + lengths[i]]``, where
+    ``padded[-1]`` is 0.0.  All rows run in one block padded with that 0.0, and an added 0.0 changes a
+    partial sum at most in the sign of a zero, which the reduction's leading 0.0 erases."""
+    if (long := lengths > _PAIRWISE_BLOCK).any():
+        out, short, n = np.empty(len(lengths)), ~long, lengths[long]
+        half = n // 2 - n // 2 % 8
+        out[long] = (_pairwise(padded, starts[long], half)
+                     + _pairwise(padded, starts[long] + half, n - half))
+        out[short] = _pairwise(padded, starts[short], lengths[short])
+        return out
+    pad, n_rows = len(padded) - 1, len(lengths)
+    # A row of 8 or more sums its multiple of 8 into 8 accumulators, then adds them as a tree;
+    # a shorter row starts from 0.0.  Then the rest of the row is added in order.  Column i of
+    # each block below is row i.
+    unrolled = np.where(lengths < 8, 0, lengths - lengths % 8)
+    cols = np.arange(int(unrolled.max(initial=0)))[:, None]
+    acc = np.zeros((8, n_rows))
+    for block in padded[np.where(cols < unrolled, starts + cols, pad)].reshape(len(cols) // 8, 8, n_rows):
+        acc += block
+    acc = acc[0::2] + acc[1::2]
+    acc = acc[0::2] + acc[1::2]
+    out = acc[0] + acc[1]
+    rest = lengths - unrolled
+    cols = np.arange(int(rest.max(initial=0)))[:, None]
+    for column in padded[np.where(cols < rest, starts + unrolled + cols, pad)]:
+        out += column
     return out
 
 
-def _live_ratios(policy, batch: _Batch, rollouts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sequence ratios of ``rollouts`` under the live policy, and the indices
-    of their tokens in rollout order."""
+def _row_sums(flat: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``np.add.reduce`` of each row ``flat[starts[i]:starts[i] + lengths[i]]``, byte for byte as on
+    that row alone: the reduction's 0.0 plus numpy's pairwise sum of the row."""
+    return 0.0 + _pairwise(np.append(flat, 0.0), starts, lengths)
+
+
+def _live_ratios(policy, batch: _Batch, rollouts: np.ndarray):
+    """Sequence ratios of ``rollouts`` under the live policy, the indices of
+    their tokens in rollout order, and those tokens' live rows."""
     lengths = batch.lengths[rollouts]
     tok = _segments(batch.starts[rollouts], lengths)
-    new_logp = policy.state_logps(batch.states[tok], batch.tokens[tok])
-    return _row_reduce(seq_importance_ratio, lengths, new_logp, batch.old_logp[tok]), tok
+    rows = policy.state_rows(batch.states[tok])
+    diffs = rows.logps(batch.tokens[tok]) - batch.old_logp[tok]
+    # seq_importance_ratio's arithmetic: the mean is the row's sum over its length.
+    return np.exp(_row_sums(diffs, np.cumsum(lengths) - lengths, lengths) / lengths), tok, rows
 
 
 def surrogate_objective(policy, groups: list[RolloutGroup], config: OptimConfig) -> float:
@@ -266,7 +316,7 @@ def surrogate_objective(policy, groups: list[RolloutGroup], config: OptimConfig)
     advantage, i.e. 0 for full groups.
     """
     batch = _check_groups(policy, groups, config)
-    ratios, _ = _live_ratios(policy, batch, np.arange(len(batch.lengths)))
+    ratios = _live_ratios(policy, batch, np.arange(len(batch.lengths)))[0]
     terms = clipped_term(ratios, batch.advantages, config.eps_low, config.eps_high)
     group_sums = np.add.reduceat(terms, batch.group_starts[:-1])
     return float(np.mean(group_sums / np.diff(batch.group_starts)))
@@ -304,11 +354,11 @@ def policy_update_step(
         grad = policy.new_grad()
         rollouts = _segments(batch.group_starts[chunk], np.diff(batch.group_starts)[chunk])
         rollouts = rollouts[batch.advantages[rollouts] != 0.0]
-        ratios, tok = _live_ratios(policy, batch, rollouts)
+        ratios, tok, rows = _live_ratios(policy, batch, rollouts)
         adv, lengths = batch.advantages[rollouts], batch.lengths[rollouts]
         active = clipped_term(ratios, adv, config.eps_low, config.eps_high) == ratios * adv
         coeffs = adv * ratios / (lengths * batch.group_size[rollouts] * chunk.size)
-        tok = tok[np.repeat(active, lengths)]
-        policy.accumulate_score_grad(batch.states[tok], batch.tokens[tok],
+        keep = np.repeat(active, lengths)
+        policy.accumulate_score_grad(rows[keep], batch.tokens[tok[keep]],
                                      np.repeat(coeffs[active], lengths[active]), grad)
         policy.apply_gradient(grad, config.learning_rate)

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .evalkit import PassAtKCurve, PassAtKInput, _check_int, _is_int, pass_at_k_curve
-from .optim import GroupMember, OptimConfig, RolloutGroup, _row_reduce, policy_update_step
+from .optim import GroupMember, OptimConfig, RolloutGroup, _row_sums, policy_update_step
 from .reward import RewardBreakdown, RewardConfig, _check_ablation, _measured_length, score_response
 from .textnorm import GoldEntitySet
 
@@ -368,9 +368,8 @@ _HASH_B = np.array([_HASH_INIT_B * pow(_HASH_MULT_B, j, 1 << 32) & _MASK32 for j
 
 def _key_words(key) -> int:
     """The number of 32-bit words SeedSequence makes of ``key``'s ints (0 takes one)."""
-    if isinstance(key, (int, np.integer)):
-        return max(1, -(-int(key).bit_length() // 32))
-    return sum(map(_key_words, key))
+    ints = (key,) if isinstance(key, (int, np.integer)) else key
+    return sum([max(1, -(-int(k).bit_length() // 32)) for k in ints])
 
 
 def _spawned_streams(keys, n: int) -> np.ndarray:
@@ -384,9 +383,9 @@ def _spawned_streams(keys, n: int) -> np.ndarray:
     pools = np.array([np.random.SeedSequence(key).pool for key in keys], np.uint32)
     # The mixing hash constant after the parent's 4 calls per pool word, 12 for
     # the all-pairs pass and 4 per word beyond the pool, then one per pool word.
-    after_parent = [_HASH_INIT_A * pow(_HASH_MULT_A, 16 + 4 * max(0, _key_words(key) - _POOL_WORDS),
-                                       1 << 32) & _MASK32 for key in keys]
-    consts = (np.array(after_parent, np.uint32)[:, None] * _HASH_A_STEPS)[:, None, :]
+    beyond_pool = np.maximum(np.array([_key_words(key) for key in keys], np.uint32), _POOL_WORDS) - _POOL_WORDS
+    after_parent = _HASH_INIT_A * np.power(np.uint32(_HASH_MULT_A), 16 + 4 * beyond_pool)
+    consts = (after_parent[:, None] * _HASH_A_STEPS)[:, None, :]
     hashed = (np.arange(n, dtype=np.uint32)[None, :, None] ^ consts[..., :-1]) * consts[..., 1:]
     hashed ^= hashed >> 16
     pool = _MIX_MULT_L * pools[:, None, :] - _MIX_MULT_R * hashed
@@ -461,6 +460,26 @@ def _log_softmax(rows: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
+@dataclass(frozen=True)
+class StateRows:
+    """Live policy rows of a sequence of states: the ``distinct`` states, each state's ``index``
+    into them, and each distinct row's log-softmax (``_log_softmax``'s arithmetic) and softmax
+    (``exp(rows - max) / sum``).  A row's values do not depend on the other rows."""
+
+    distinct: np.ndarray
+    index: np.ndarray
+    logp: np.ndarray
+    probs: np.ndarray
+
+    def logps(self, tokens: np.ndarray) -> np.ndarray:
+        """The log-probability of ``tokens[i]`` in state ``i``."""
+        return self.logp[self.index, tokens]
+
+    def __getitem__(self, keep) -> "StateRows":
+        """The rows of the states ``keep`` selects, on the same distinct rows."""
+        return replace(self, index=self.index[keep])
+
+
 class ToyPolicy:
     """Entity-conditioned bigram softmax policy at a finite, positive temperature.
 
@@ -468,9 +487,10 @@ class ToyPolicy:
     ``params_old`` is the frozen snapshot that rollouts are sampled from.
     ``snapshot()`` refreshes it and bumps ``snapshot_version`` so stale
     rollouts can be detected.  Right after a snapshot, ``token_logps``
-    returns the log-probs that sampling records, bit for bit.  ``state_logps``
-    and ``accumulate_score_grad`` compute one live softmax row per distinct
-    (entity, previous token) state in a call and gather it per token.
+    returns the log-probs that sampling records, bit for bit.  ``state_rows``
+    computes the live log-softmax and softmax row of each distinct (entity,
+    previous token) state once, and both the live log-probs and
+    ``accumulate_score_grad`` read those rows.
     """
 
     def __init__(self, lexicon: SyntheticLexicon, logits: np.ndarray,
@@ -495,61 +515,81 @@ class ToyPolicy:
         """Freeze the current parameters as the sampling distribution."""
         self.params_old = self.logits.copy()
         self.snapshot_version += 1
-        self._old_tables_cache = None
+        if self._old_tables_cache is not None:
+            self._old_tables_cache[-1][:] = False
 
-    def _old_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # (log-prob, cumulative-prob, entropy) tables under the snapshot;
-        # rebuilt lazily once per snapshot.
+    def _old_tables(self, ent_rows=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(log-prob, cumulative-prob, entropy) tables under the snapshot, full-size and refilled in
+        place after the next one.  The rows of the entities at lexicon indices ``ent_rows`` (all
+        entities when None) are built the first time a call after the snapshot asks for them; every
+        row has the bytes of building all at once."""
         if self._old_tables_cache is None:
-            logp = _log_softmax(self.params_old / self.temperature)
-            probs = np.exp(logp)
-            cum = np.cumsum(probs, axis=-1)
-            ent = -(probs * logp).sum(axis=-1)
-            self._old_tables_cache = (logp, cum, ent)
-        return self._old_tables_cache
+            shape = self.params_old.shape
+            self._old_tables_cache = (np.empty(shape), np.empty(shape), np.empty(shape[:2]),
+                                      np.zeros(shape[0], bool))
+        logp, cum, ent, built = self._old_tables_cache
+        wanted = np.ones_like(built)
+        if ent_rows is not None:
+            wanted[:] = False
+            wanted[ent_rows] = True
+        if (todo := np.flatnonzero(wanted & ~built)).size:
+            rows_logp = _log_softmax(self.params_old[todo] / self.temperature)
+            probs = np.exp(rows_logp)
+            logp[todo], cum[todo] = rows_logp, np.cumsum(probs, axis=-1)
+            ent[todo] = -(probs * rows_logp).sum(axis=-1)
+            built[todo] = True
+        return logp, cum, ent
 
     def token_states(self, entity_ids, tokens: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         """State of each token of concatenated sequences: the row of
         ``logits.reshape(-1, vocab_size)`` it is drawn from, (entity, previous
-        token).  Sequence ``i`` has ``lengths[i]`` tokens and entity ``entity_ids[i]``."""
+        token).  Sequence ``i`` has ``lengths[i]`` tokens and entity ``entity_ids[i]``;
+        each distinct id is looked up once."""
         if len(tokens) and not 0 <= tokens.min() <= tokens.max() < self.lexicon.vocab_size:
             raise ValueError(f"token ids must be in [0, {self.lexicon.vocab_size})")
         prevs = np.empty_like(tokens)
         prevs[1:] = tokens[:-1]
         prevs[np.cumsum(lengths) - lengths] = BOS
-        ents = np.fromiter(map(self.lexicon.entity_index, entity_ids), np.intp, len(lengths))
+        rows = {e_id: self.lexicon.entity_index(e_id) for e_id in dict.fromkeys(entity_ids)}
+        ents = np.fromiter(map(rows.__getitem__, entity_ids), np.intp, len(lengths))
         return np.repeat(ents * self.lexicon.vocab_size, lengths) + prevs
 
-    def state_logps(self, states: np.ndarray, tokens: np.ndarray) -> np.ndarray:
-        """Live log-probabilities of ``tokens[i]`` in state ``states[i]``."""
+    def state_rows(self, states: np.ndarray) -> StateRows:
+        """The live rows of ``states``, one per distinct state, computed once for a pass."""
         table = self.logits.reshape(-1, self.lexicon.vocab_size)
-        distinct, row = np.unique(states, return_inverse=True)
-        return _log_softmax(table[distinct] / self.temperature)[row, tokens]
+        seen = np.zeros(len(table), bool)
+        seen[states] = True
+        distinct = np.flatnonzero(seen)
+        rows = table[distinct] / self.temperature
+        shifted = rows - rows.max(axis=-1, keepdims=True)
+        exp = np.exp(shifted)
+        total = exp.sum(axis=-1, keepdims=True)
+        return StateRows(distinct, (np.cumsum(seen) - 1)[states], shifted - np.log(total), exp / total)
 
     def token_logps(self, entity_id: str, tokens: tuple[int, ...]) -> np.ndarray:
         """Per-token log-probabilities of ``tokens`` for this entity's prompt
         under the live parameters."""
         toks = np.asarray(tokens, dtype=np.intp)
-        return self.state_logps(self.token_states([entity_id], toks, [len(toks)]), toks)
+        return self.state_rows(self.token_states([entity_id], toks, [len(toks)])).logps(toks)
 
     def new_grad(self) -> np.ndarray:
         return np.zeros(self.logits.shape)
 
     def accumulate_score_grad(
-        self, states: np.ndarray, tokens: np.ndarray, coeffs: np.ndarray, grad: np.ndarray
+        self, rows: StateRows, tokens: np.ndarray, coeffs: np.ndarray, grad: np.ndarray
     ) -> None:
-        """Add coeffs[i] * grad of log pi(tokens[i] | states[i]) into ``grad``: one
-        ``np.bincount`` sums each cell's terms in row order, added once, so into a
-        fresh ``new_grad()`` it gives the bytes of adding row by row."""
+        """Add coeffs[i] * grad of log pi(tokens[i] | state i) into ``grad``, where ``rows`` holds
+        the live rows of the states: one ``np.bincount`` sums each cell's terms in row order, added
+        once, so into a fresh ``new_grad()`` it gives the bytes of adding row by row."""
         vocab = self.lexicon.vocab_size
-        distinct, row = np.unique(states, return_inverse=True)
-        rows = self.logits.reshape(-1, vocab)[distinct] / self.temperature
-        shifted = np.exp(rows - rows.max(axis=-1, keepdims=True))
-        delta = -(shifted / shifted.sum(axis=-1, keepdims=True))[row]
-        delta[np.arange(len(delta)), tokens] += 1.0
-        sums = np.bincount((row[:, None] * vocab + np.arange(vocab)).ravel(),
-                           ((coeffs / self.temperature)[:, None] * delta).ravel(), distinct.size * vocab)
-        grad.reshape(-1, vocab)[distinct] += sums.reshape(-1, vocab)
+        coeffs = coeffs / self.temperature
+        # coeffs[i] * (onehot - probs), product by product: -(p * c) is (-p) * c, and
+        # 1.0 - p is (-p) + 1.0.
+        terms = np.take(rows.probs, rows.index, axis=0) * -coeffs[:, None]
+        terms[np.arange(len(terms)), tokens] = coeffs * (1.0 - rows.probs[rows.index, tokens])
+        sums = np.bincount((rows.index[:, None] * vocab + np.arange(vocab)).ravel(), terms.ravel(),
+                           rows.distinct.size * vocab)
+        grad.reshape(-1, vocab)[rows.distinct] += sums.reshape(-1, vocab)
 
     def apply_gradient(self, grad: np.ndarray, learning_rate: float) -> None:
         if grad.shape != self.logits.shape:
@@ -633,7 +673,7 @@ def _sample_batch(policy: ToyPolicy, ent_rows: np.ndarray, streams: np.ndarray,
     """
     _check_int("max_len", max_len, 1)
     vocab = policy.lexicon.vocab_size
-    logp_table, cum_table, ent_table = policy._old_tables()
+    logp_table, cum_table, ent_table = policy._old_tables(ent_rows)
     logp_table, cum_table = logp_table.reshape(-1, vocab), cum_table.reshape(-1, vocab)
     ent_table = ent_table.reshape(-1)
     rows, base = np.arange(len(ent_rows)), vocab * ent_rows
@@ -645,7 +685,7 @@ def _sample_batch(policy: ToyPolicy, ent_rows: np.ndarray, streams: np.ndarray,
             raise ValueError(f"{len(ent_rows):,} rollouts of max_len {max_len:,} emitted more than "
                              f"MAX_SAMPLED_TOKENS = {MAX_SAMPLED_TOKENS:,} tokens")
         u, streams = _pcg_uniforms(streams)
-        toks = _next_tokens(cum_table[states], u, vocab)
+        toks = _next_tokens(np.take(cum_table, states, axis=0), u, vocab)
         emitted.append((rows, toks, logp_table[states, toks], ent_table[states]))
         alive = toks != EOS
         if not alive.all():
@@ -724,24 +764,28 @@ class _Scores(dict):
         super().__init__()
         self.lexicon, self.config, self.ablation, self.distinct = lexicon, config, ablation, {}
         self.dtype = np.min_scalar_type(max(lexicon.vocab_size, len(lexicon.entities)) - 1)
+        self.ref_lengths = [e.ref_lengths for e in lexicon.entities]
 
     def lookup(self, batch: _RolloutBatch) -> list[tuple[RewardBreakdown, int]]:
-        """The score of each row of ``batch``, in row order."""
+        """The score of each row of ``batch``, in row order; only the misses run in Python."""
         flat = np.insert(batch.token_ids, batch.offsets[:-1], batch.rows).astype(self.dtype).tobytes()
         bounds = ((batch.offsets + np.arange(len(batch.offsets))) * self.dtype.itemsize).tolist()
-        out, lex = [], self.lexicon
-        for a, b, row, tokens in zip(bounds, bounds[1:], batch.rows.tolist(), batch.tokens):
-            score = self.get(key := flat[a:b])
-            if score is None:
-                breakdown, seg = score_response(render_response(lex, tokens, self.config),
-                                                lex.golds[row], lex.entities[row].ref_lengths,
-                                                self.config, self.ablation)
-                score = (breakdown, _measured_length(seg.trans, "tokens"))
-                score = self.distinct.setdefault(score, score)
+        keys = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
+        out, lex, rows = list(map(self.get, keys)), self.lexicon, batch.rows.tolist()
+        for i in [i for i, score in enumerate(out) if score is None]:
+            # An earlier miss of this batch may have scored the same pair.
+            if (score := self.get(keys[i])) is None:
+                row = rows[i]
+                breakdown, seg = score_response(render_response(lex, batch.tokens[i], self.config),
+                                                lex.golds[row], self.ref_lengths[row], self.config, self.ablation)
+                trans_len = _measured_length(seg.trans, "tokens")
+                # Within one config and ablation the gate and match bits fix the reward.
+                score = self.distinct.setdefault(
+                    (breakdown.fmt_gate, breakdown.len_gate, breakdown.match, trans_len), (breakdown, trans_len))
                 if len(self) >= SCORE_CACHE_SIZE:
                     self.clear()
-                self[key] = score
-            out.append(score)
+                self[keys[i]] = score
+            out[i] = score
         return out
 
 
@@ -932,14 +976,14 @@ class TrainResult:
     final_rollouts: list[RolloutScore]
 
 
-def _metrics_row(step: int, batch: _RolloutBatch, scored: list) -> TrainMetricsRow:
-    """Step metrics from a batch and its scores, bit for bit the per-rollout loop's: each
-    entropy sum is its row's own ``sum``, and sums fold from 0.0 in sampling order."""
-    entropy_sums = _row_reduce(lambda e: e.sum(axis=-1), np.diff(batch.offsets), batch.entropies)
+def _metrics_row(step: int, batch: _RolloutBatch, scored: list, rewards: list[float]) -> TrainMetricsRow:
+    """Step metrics from a batch, its scores and their rewards, bit for bit the per-rollout loop's:
+    each entropy sum is its row's own ``sum``, and sums fold from 0.0 in sampling order."""
+    entropy_sums = _row_sums(batch.entropies, batch.offsets[:-1], np.diff(batch.offsets))
     n = len(scored)
     return TrainMetricsRow(
         step=step,
-        mean_reward=reduce(add, [breakdown.reward for breakdown, _ in scored], 0.0) / n,
+        mean_reward=reduce(add, rewards, 0.0) / n,
         mean_trans_length=sum(trans_len for _, trans_len in scored) / n,
         mean_entropy=reduce(add, entropy_sums.tolist(), 0.0) / max(int(batch.offsets[-1]), 1),
         pass1_eval=sum(breakdown.match for breakdown, _ in scored) / n,
@@ -1000,12 +1044,13 @@ def train(
         streams = _spawned_streams([(seed, _STREAM_ROLLOUT, step, p) for p in range(batch_size)], size)
         batch = _sample_batch(policy, np.repeat(prompt_rows, size), streams, max_len)
         scored, bounds = scores.lookup(batch), batch.offsets.tolist()
-        members = [GroupMember(tokens, batch.old_logp[a:b], breakdown.reward)
-                   for tokens, a, b, (breakdown, _) in zip(batch.tokens, bounds, bounds[1:], scored)]
+        rewards = [breakdown.reward for breakdown, _ in scored]
+        members = [GroupMember(tokens, batch.old_logp[a:b], reward)
+                   for tokens, a, b, reward in zip(batch.tokens, bounds, bounds[1:], rewards)]
         groups = [RolloutGroup(ent_id, members[p_idx * size:(p_idx + 1) * size], policy.snapshot_version)
                   for p_idx, ent_id in enumerate(prompt_ids)]
 
-        metrics.append(_metrics_row(step, batch, scored))
+        metrics.append(_metrics_row(step, batch, scored, rewards))
         if not measure_only:
             shuffle_rng = np.random.default_rng(
                 np.random.SeedSequence((seed, _STREAM_SHUFFLE, step))

@@ -574,6 +574,22 @@ class TestTrainCommand:
         assert code == 1
         assert "bad optim config" in capsys.readouterr().err
 
+    def test_learning_rate_beyond_float_range_rejected_before_prior(self, tmp_path, capsys, monkeypatch):
+        # A 401-digit integer compares below inf but cannot become a float: an error, not a
+        # traceback from the first update.
+        task, out = tmp_path / "task", tmp_path / "o"
+        assert main(["gen", "--seed", "42", "--out", str(task)]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr("entrl.toytask.init_activation_prior", lambda *a, **k: pytest.fail("prior built"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"optim": {"learning_rate": ' + str(10**400) + "}}")
+        code = main(["train", "--config", str(cfg), "--lexicon", str(task / "lexicon.json"),
+                     "--out", str(out), "--steps", "1"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: bad optim config: learning_rate must be finite, got an integer beyond float range")
+        assert not out.exists()
+
     def test_zero_max_len_rejected_before_prior(self, tmp_path, capsys, monkeypatch):
         task = tmp_path / "task"
         assert main(["gen", "--seed", "42", "--out", str(task)]) == 0

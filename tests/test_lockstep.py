@@ -28,6 +28,7 @@ from entrl import (
 )
 from entrl.optim import _check_groups, _live_ratios
 from entrl.toytask import (
+    EOS,
     ToyPolicy,
     _next_tokens,
     _pcg_uniforms,
@@ -169,15 +170,53 @@ class TestLockstepSampler:
         assert counts == tuple(expected)
 
 
+class TestSnapshotTables:
+    # The sampler builds an entity's snapshot rows the first time a call after
+    # the snapshot samples it; the per-token loop reads the full tables.
+    def sample(self, policy, ent_rows, seed):
+        seeds = [(seed, i) for i in range(len(ent_rows))]
+        batch = _sample_batch(policy, np.array(ent_rows), _seed_streams(seeds), 40)
+        return [(batch.rollout(i, IDS[row]), IDS[row], s) for i, (row, s) in enumerate(zip(ent_rows, seeds))]
+
+    @pytest.mark.parametrize("subsets", [([4], [0, 4, 2]), ([0, 4, 2], [4])], ids=["one-first", "three-first"])
+    def test_entity_subsets_sample_as_the_full_tables(self, subsets):
+        policy = random_policy(6)
+        policy.snapshot()
+        sampled = [ro for k, subset in enumerate(subsets) for ro in self.sample(policy, subset * 4, k)]
+        for ro, ent, seed in sampled:
+            assert_same_rollout(ro, sample_rollout_loop(policy, ent, 40, seed))
+        # Every row, built in whatever order, has the bytes of one full build.
+        full = ToyPolicy(LEX, policy.params_old)._old_tables()
+        for built, expected in zip(policy._old_tables(), full):
+            assert built.tobytes() == expected.tobytes()
+
+    def test_an_entity_updated_after_sampling_is_rebuilt(self):
+        policy = random_policy(7)
+        policy.snapshot()
+        first = self.sample(policy, [2] * 8, 0)
+        grad = policy.new_grad()
+        grad[2] = np.random.default_rng(0).normal(0.0, 1.0, size=grad[2].shape)
+        policy.apply_gradient(grad, 1.0)
+        policy.snapshot()
+        again = self.sample(policy, [2] * 8, 0)
+        fresh = ToyPolicy(LEX, policy.logits.copy())
+        for (ro, ent, seed), (old, _, _) in zip(again, first):
+            assert_same_rollout(ro, sample_rollout_loop(fresh, ent, 40, seed))
+        assert any(ro.old_logp.tobytes() != old.old_logp.tobytes() for (ro, _, _), (old, _, _) in zip(again, first))
+
+
 def update_fixture(seed: int, n_groups: int, group_size: int, zero_adv: bool = False,
-                   clipped_group: int | None = None):
+                   clipped_group: int | None = None, max_len: int = 40, eos_logit: float | None = None):
     """A policy moved off its snapshot and groups sampled from the snapshot.
 
     With ``zero_adv`` every third group has equal rewards.  The members of
     ``clipped_group`` get old log-probs that put each one past the band on
-    its clipped side.
+    its clipped side.  ``eos_logit`` sets every row's EOS logit, which with
+    a large ``max_len`` makes long rollouts.
     """
     policy = random_policy(seed)
+    if eos_logit is not None:
+        policy.logits[:, :, EOS] = eos_logit
     policy.snapshot()
     rng = np.random.default_rng(seed)
     sampled = []
@@ -187,7 +226,7 @@ def update_fixture(seed: int, n_groups: int, group_size: int, zero_adv: bool = F
             rewards = [0.2] * group_size
         else:
             rewards = [1.2] + list(rng.choice([0.0, 0.2, 1.2], size=group_size - 1))
-        rollouts = [sample_rollout(policy, ent, 40, (seed, g, m)) for m in range(group_size)]
+        rollouts = [sample_rollout(policy, ent, max_len, (seed, g, m)) for m in range(group_size)]
         sampled.append((ent, rollouts, rewards))
     # Odd entities move far, so their ratios' means are large enough for a
     # last-bit difference in the mean to survive exp(); even ones stay near
@@ -250,6 +289,38 @@ class TestArrayUpdate:
                 s = seq_importance_ratio(new_logp, m.old_logp)
                 assert (s > 1 + config.eps_high) if a > 0 else (s < 1 - config.eps_low)
 
+    def test_rollouts_past_the_pairwise_block_match_the_loop(self):
+        # Past 128 tokens numpy's pairwise sum splits a row in two, so the
+        # ratios' row sums take that path too.
+        policy, groups = update_fixture(seed=4, n_groups=6, group_size=4, max_len=300, eos_logit=-1.0)
+        lengths = [len(m.tokens) for g in groups for m in g.members]
+        assert max(lengths) == 300 and any(128 < n < 300 for n in lengths)
+        assert any(n <= 128 for n in lengths)
+        config = OptimConfig(group_size=4, learning_rate=3.0, mini_batch_size=1, updates_per_batch=2)
+        reference = ToyPolicy(LEX, policy.logits.copy())
+        before = policy.logits.copy()
+        policy_update_step(policy, groups, config, rng=np.random.default_rng(5))
+        policy_update_loop(reference, groups, config, rng=np.random.default_rng(5))
+        assert policy.logits.tobytes() == reference.logits.tobytes()
+        assert np.any(policy.logits != before)
+
+    @pytest.mark.parametrize("updates", [1, 2, 5])
+    def test_one_state_rows_call_per_pass(self, updates, monkeypatch):
+        policy, groups = update_fixture(seed=3, n_groups=5, group_size=4)
+        calls = []
+        state_rows = ToyPolicy.state_rows
+
+        def counted(self, states):
+            calls.append(len(states))
+            return state_rows(self, states)
+
+        monkeypatch.setattr(ToyPolicy, "state_rows", counted)
+        config = OptimConfig(group_size=4, mini_batch_size=1, updates_per_batch=updates)
+        policy_update_step(policy, groups, config, rng=np.random.default_rng(0))
+        assert len(calls) == updates
+        # Together the passes read each rollout's tokens once.
+        assert sum(calls) == sum(len(m.tokens) for g in groups for m in g.members)
+
     def test_ratios_match_per_rollout_means(self):
         # Old log-probs well below the live ones give means of order 1, so
         # a mean summed in another grouping (over padded rows, say) shows
@@ -260,7 +331,7 @@ class TestArrayUpdate:
             GroupMember(m.tokens, m.old_logp - rng.uniform(0.0, 2.0, len(m.tokens)), m.reward)
             for m in g.members], g.snapshot_version) for g in groups]
         batch = _check_groups(policy, groups, OptimConfig(group_size=4))
-        ratios, _ = _live_ratios(policy, batch, np.arange(len(batch.lengths)))
+        ratios = _live_ratios(policy, batch, np.arange(len(batch.lengths)))[0]
         expected = [
             float(np.exp(np.mean(token_logps_loop(policy, g.prompt_id, m.tokens) - m.old_logp)))
             for g in groups for m in g.members
@@ -281,10 +352,11 @@ class TestArrayUpdate:
         assert len(np.unique(states)) < len(states) and (np.diff(states) < 0).any()
         expected = np.concatenate([token_logps_loop(policy, ro.entity_id, ro.tokens)
                                    for ro in rollouts])
-        assert policy.state_logps(states, tokens).tobytes() == expected.tobytes()
+        rows = policy.state_rows(states)
+        assert rows.logps(tokens).tobytes() == expected.tobytes()
         coeffs = np.linspace(-1.5, 2.0, len(rollouts))
         grad = policy.new_grad()
-        policy.accumulate_score_grad(states, tokens, np.repeat(coeffs, lengths), grad)
+        policy.accumulate_score_grad(rows, tokens, np.repeat(coeffs, lengths), grad)
         expected = policy.new_grad()
         for ro, coeff in zip(rollouts, coeffs):
             _accumulate_score_grad(policy, ro.entity_id, ro.tokens, float(coeff), expected)
@@ -301,7 +373,7 @@ class TestArrayUpdate:
         coeffs = rng.normal(size=rows) * 10.0 ** rng.integers(-8, 9, size=rows)
         coeffs[1::5] = 0.0
         grad = policy.new_grad()
-        policy.accumulate_score_grad(states, tokens, coeffs, grad)
+        policy.accumulate_score_grad(policy.state_rows(states), tokens, coeffs, grad)
 
         # np.add.at of each row's full softmax, on a fresh gradient.
         rows_t = policy.logits.reshape(-1, 32)[states] / policy.temperature

@@ -16,7 +16,7 @@ from entrl import (
     seq_importance_ratio,
     surrogate_objective,
 )
-from entrl.optim import MAX_ROLLOUTS_PER_STEP
+from entrl.optim import MAX_ROLLOUTS_PER_STEP, _row_sums
 from oracles.fd_grad import (
     analytic_gradient,
     assert_clip_margins,
@@ -62,8 +62,11 @@ class TestGroupAdvantages:
     def test_rejects_short_or_misshaped_input(self):
         with pytest.raises(ValueError):
             group_advantages([1.0])
+        # One group per row of a 2-d array, so misshaped is 3-d, or rows of one reward.
         with pytest.raises(ValueError):
-            group_advantages([[1.0, 2.0]])
+            group_advantages([[[1.0, 2.0]]])
+        with pytest.raises(ValueError):
+            group_advantages([[1.0], [2.0]])
 
     @given(st.lists(st.sampled_from([0.0, 0.2, 1.2]), min_size=2, max_size=32),
            st.floats(0.1, 10.0), st.floats(-5.0, 5.0))
@@ -88,6 +91,88 @@ class TestGroupAdvantages:
         std = r.std()
         expected = np.zeros_like(r) if std < std_floor else (r - r.mean()) / std
         assert group_advantages(r, std_floor).tobytes() == expected.tobytes()
+
+    @given(st.integers(2, 40).flatmap(lambda g: st.lists(st.one_of(
+               st.lists(st.floats(-1.0, 1.0), min_size=g, max_size=g),
+               st.lists(st.sampled_from([0.0, 0.2, 1.2]), min_size=g, max_size=g),
+               st.floats(-1.0, 1.0).map(lambda v: [v] * g)), min_size=1, max_size=6)),
+           st.sampled_from([1e-6, 1e-12]))
+    @settings(max_examples=300, deadline=None)
+    def test_each_row_of_a_2d_call_is_its_own_1d_call(self, groups, std_floor):
+        got = group_advantages(np.array(groups), std_floor)
+        assert got.shape == (len(groups), len(groups[0]))
+        for row, rewards in zip(got, groups):
+            assert row.tobytes() == group_advantages(rewards, std_floor).tobytes()
+
+    def test_a_nan_row_stays_nan_as_in_1d(self):
+        # A NaN std is not below the floor, so the row is divided, not zeroed.
+        groups = np.array([[1.0, np.nan, 0.2], [0.2, 0.2, 0.2], [1.2, 0.0, 0.2]])
+        got = group_advantages(groups)
+        assert np.isnan(got[0]).all() and not got[1].any()
+        for row, rewards in zip(got, groups):
+            assert row.tobytes() == group_advantages(rewards).tobytes()
+
+    def test_one_call_per_group_size(self, monkeypatch):
+        import entrl.optim as optim
+
+        policy, groups = build_fixture(seed=0, n_groups=6, group_size=4)
+        # Two more sizes: groups of 3 and of 5 members.
+        groups += [RolloutGroup(g.prompt_id, g.members[:3], g.snapshot_version) for g in groups[:2]]
+        groups.append(RolloutGroup(groups[0].prompt_id, groups[0].members + groups[1].members[:1],
+                                   groups[0].snapshot_version))
+        expected = [group_advantages([m.reward for m in g.members]) for g in groups]
+        calls = []
+
+        def counted(rewards, std_floor=1e-6):
+            calls.append(np.shape(rewards))
+            return group_advantages(rewards, std_floor)
+
+        monkeypatch.setattr(optim, "group_advantages", counted)
+        batch = optim._check_groups(policy, groups, OptimConfig(group_size=4))
+        assert sorted(calls) == [(1, 5), (2, 3), (6, 4)]
+        assert batch.advantages.tobytes() == np.concatenate(expected).tobytes()
+
+
+ROW_SUM_SPECIALS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300])
+
+
+def _reduce_each(flat, lengths):
+    starts = np.cumsum(lengths) - lengths
+    return np.array([np.add.reduce(flat[a:a + n]) for a, n in zip(starts, lengths)])
+
+
+class TestRowSums:
+    # The ratios and the metrics' entropy sums rest on this row sum following
+    # numpy's own summation order: 8 accumulators up to 128 elements, halves above.
+    @given(st.lists(st.integers(1, 300), min_size=1, max_size=6), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_each_row_is_numpys_reduce_of_that_row(self, lengths, seed, special_share):
+        # Magnitudes across the float range, with signed zeros, subnormals and
+        # +-1e300 mixed in at the drawn share.
+        lengths = np.array(lengths)
+        rng = np.random.default_rng(seed)
+        flat = rng.normal(size=lengths.sum()) * 10.0 ** rng.integers(-320, 300, size=lengths.sum())
+        special = rng.random(flat.size) < special_share
+        flat[special] = rng.choice(ROW_SUM_SPECIALS, size=int(special.sum()))
+        with np.errstate(all="ignore"):  # sums near the float limit may reach inf or nan
+            got = _row_sums(flat, np.cumsum(lengths) - lengths, lengths)
+            assert got.tobytes() == _reduce_each(flat, lengths).tobytes()
+
+    def test_every_length_to_300(self):
+        rng = np.random.default_rng(0)
+        lengths = rng.permutation(np.arange(1, 301))
+        flat = rng.normal(size=lengths.sum()) * 10.0 ** rng.integers(-12, 12, size=lengths.sum())
+        flat[rng.random(flat.size) < 0.1] = -0.0
+        got = _row_sums(flat, np.cumsum(lengths) - lengths, lengths)
+        assert got.tobytes() == _reduce_each(flat, lengths).tobytes()
+
+    def test_rows_in_any_order_and_none(self):
+        flat = np.arange(40.0) / 7.0
+        starts, lengths = np.array([30, 0, 9]), np.array([10, 9, 21])
+        assert _row_sums(flat, starts, lengths).tobytes() == np.array(
+            [np.add.reduce(flat[a:a + n]) for a, n in zip(starts, lengths)]).tobytes()
+        assert _row_sums(flat, np.array([], int), np.array([], int)).shape == (0,)
 
 
 class TestSeqImportanceRatio:
@@ -211,10 +296,26 @@ class TestOptimConfigValidation:
         {"eps_high": True},
         {"learning_rate": True},
         {"std_floor": True},
+        {"eps_low": "0.1"},
+        {"eps_high": None},
+        {"learning_rate": "0.1"},
+        {"std_floor": "1e-6"},
+        {"learning_rate": 10**400},
+        {"eps_high": -10**400},
+        {"std_floor": 10**400},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             OptimConfig(**kwargs)
+
+    def test_messages_name_the_field(self):
+        with pytest.raises(ValueError, match="^eps_low must be a real number, got '0.1'$"):
+            OptimConfig(eps_low="0.1")
+        with pytest.raises(ValueError, match="^learning_rate must be finite, got an integer beyond float range$"):
+            OptimConfig(learning_rate=10**400)
+
+    def test_integer_and_numpy_reals_allowed(self):
+        assert OptimConfig(learning_rate=4, eps_low=np.float64(1e-4), std_floor=np.float32(1e-6))
 
     def test_zero_learning_rate_allowed(self):
         assert OptimConfig(learning_rate=0.0).learning_rate == 0.0

@@ -685,6 +685,33 @@ def prior_policy():
 
 
 class TestTrain:
+    def test_each_prompt_id_is_mapped_once_per_step(self, monkeypatch):
+        # Criterion 5's set-up: 32 prompts of 16 rollouts from 15 train entities a step.
+        import entrl.toytask as toytask
+
+        lexicon = gen_lexicon(seed=42, n_entities=20, vocab_size=48)
+        policy = init_activation_prior(lexicon, PolicyConfig(), target_pass1_max=0.10, seed=5)
+        calls, steps = [0], []
+        entity_index, update = SyntheticLexicon.entity_index, toytask.policy_update_step
+
+        def counted(self, entity_id):
+            calls[0] += 1
+            return entity_index(self, entity_id)
+
+        def recorded(pol, groups, config, rng=None):
+            before = calls[0]
+            update(pol, groups, config, rng=rng)
+            steps.append((calls[0] - before, len({g.prompt_id for g in groups})))
+
+        monkeypatch.setattr(SyntheticLexicon, "entity_index", counted)
+        monkeypatch.setattr(toytask, "policy_update_step", recorded)
+        train(lexicon, policy, toy_reward_config(), OptimConfig(learning_rate=4.0), steps=3, seed=11)
+        assert len(steps) == 3
+        for n_calls, n_prompts in steps:
+            assert n_calls <= n_prompts < 32
+        # Besides the updates, train maps its train split once.
+        assert calls[0] == len(lexicon.train_ids) + sum(n for n, _ in steps)
+
     def test_steps_zero_measures_without_updating(self):
         policy = small_policy()
         before = policy.logits.copy()
