@@ -39,6 +39,20 @@ def _check_int(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def _check_real(name: str, value) -> float:
+    """``float(value)`` for a real number (numpy's included), so a range check compares the number a
+    caller will use; a boolean, a non-real (a string, say) or an integer beyond float range raises
+    ``ValueError`` naming ``name``."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, not a boolean")
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an integer beyond float range") from None
+
+
 # pass_at_k_single multiplies out at most this many factors of its product.
 EXACT_FACTORS = 10_000
 

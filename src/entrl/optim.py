@@ -41,12 +41,11 @@ passes over the same batch cannot push a sequence further.
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .evalkit import _check_int
+from .evalkit import _check_int, _check_real
 
 __all__ = [
     "OptimConfig",
@@ -86,7 +85,7 @@ class OptimConfig:
         for name, minimum in (("group_size", 2), ("mini_batch_size", 1), ("updates_per_batch", 1)):
             _check_int(name, getattr(self, name), minimum)
         eps_low, eps_high, learning_rate, std_floor = (
-            _real(name, getattr(self, name)) for name in ("eps_low", "eps_high", "learning_rate", "std_floor"))
+            _check_real(name, getattr(self, name)) for name in ("eps_low", "eps_high", "learning_rate", "std_floor"))
         for name, eps in (("eps_low", eps_low), ("eps_high", eps_high)):
             if not 0.0 < eps < 1.0:
                 raise ValueError(f"{name} must be in (0, 1), got {getattr(self, name)}")
@@ -98,19 +97,6 @@ class OptimConfig:
                              f"exceeds MAX_ROLLOUTS_PER_STEP = {MAX_ROLLOUTS_PER_STEP:,}")
         if not 0.0 < std_floor < np.inf:
             raise ValueError(f"std_floor must be finite and positive, got {self.std_floor}")
-
-
-def _real(name: str, value) -> float:
-    """``float(value)``, so a range check compares the number the optimizer will use; a boolean, a
-    non-real (a string, say) or an integer beyond float range raises ``ValueError`` naming ``name``."""
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be a real number, not a boolean")
-    if not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{name} must be finite, got an integer beyond float range") from None
 
 
 @dataclass(frozen=True)
@@ -228,10 +214,7 @@ def _check_groups(policy, groups: list[RolloutGroup], config: OptimConfig) -> _B
     if not lengths.all():
         raise ValueError("empty token sequence")
     old_logps = [m.old_logp for m in members]
-    try:
-        shapes = [old.shape for old in old_logps]
-    except AttributeError:  # not all arrays: np.shape reads them as np.asarray would
-        shapes = list(map(np.shape, old_logps))
+    shapes = list(map(np.shape, old_logps))
     if shapes != list(zip(lengths.tolist())):
         bad = next(i for i, shape in enumerate(shapes) if shape != (lengths[i],))
         raise ValueError(f"old_logp shape {shapes[bad]} != ({lengths[bad]},)")

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .evalkit import PassAtKCurve, PassAtKInput, _check_int, _is_int, pass_at_k_curve
+from .evalkit import PassAtKCurve, PassAtKInput, _check_int, _check_real, _is_int, pass_at_k_curve
 from .optim import GroupMember, OptimConfig, RolloutGroup, _row_sums, policy_update_step
 from .reward import RewardBreakdown, RewardConfig, _check_ablation, _measured_length, score_response
 from .textnorm import GoldEntitySet
@@ -325,15 +325,9 @@ def gen_lexicon(
 
 
 def _check_temperature(temperature) -> None:
-    """A sampling temperature is a real number whose ``float`` is finite and above 0; a boolean
-    is not one."""
-    try:
-        if not isinstance(temperature, bool) and isinstance(temperature, numbers.Real) \
-                and 0.0 < float(temperature) < np.inf:
-            return
-    except OverflowError:  # an integer beyond float range
-        pass
-    raise ValueError(f"temperature must be finite and > 0, got {temperature!r}")
+    """A sampling temperature is a real number (``_check_real``) whose ``float`` is finite and above 0."""
+    if not 0.0 < _check_real("temperature", temperature) < np.inf:
+        raise ValueError(f"temperature must be finite and > 0, got {temperature!r}")
 
 
 @dataclass(frozen=True)
@@ -368,8 +362,9 @@ _HASH_B = np.array([_HASH_INIT_B * pow(_HASH_MULT_B, j, 1 << 32) & _MASK32 for j
 
 def _key_words(key) -> int:
     """The number of 32-bit words SeedSequence makes of ``key``'s ints (0 takes one)."""
-    ints = (key,) if isinstance(key, (int, np.integer)) else key
-    return sum([max(1, -(-int(k).bit_length() // 32)) for k in ints])
+    if isinstance(key, (int, np.integer)):
+        return max(1, -(-int(key).bit_length() // 32))
+    return sum(map(_key_words, key))
 
 
 def _spawned_streams(keys, n: int) -> np.ndarray:
@@ -383,9 +378,9 @@ def _spawned_streams(keys, n: int) -> np.ndarray:
     pools = np.array([np.random.SeedSequence(key).pool for key in keys], np.uint32)
     # The mixing hash constant after the parent's 4 calls per pool word, 12 for
     # the all-pairs pass and 4 per word beyond the pool, then one per pool word.
-    beyond_pool = np.maximum(np.array([_key_words(key) for key in keys], np.uint32), _POOL_WORDS) - _POOL_WORDS
-    after_parent = _HASH_INIT_A * np.power(np.uint32(_HASH_MULT_A), 16 + 4 * beyond_pool)
-    consts = (after_parent[:, None] * _HASH_A_STEPS)[:, None, :]
+    after_parent = [_HASH_INIT_A * pow(_HASH_MULT_A, 16 + 4 * max(0, _key_words(key) - _POOL_WORDS),
+                                       1 << 32) & _MASK32 for key in keys]
+    consts = (np.array(after_parent, np.uint32)[:, None] * _HASH_A_STEPS)[:, None, :]
     hashed = (np.arange(n, dtype=np.uint32)[None, :, None] ^ consts[..., :-1]) * consts[..., 1:]
     hashed ^= hashed >> 16
     pool = _MIX_MULT_L * pools[:, None, :] - _MIX_MULT_R * hashed
@@ -455,9 +450,17 @@ def _table_shape(lexicon: SyntheticLexicon) -> tuple[int, int, int]:
     return n_ent, vocab, vocab
 
 
-def _log_softmax(rows: np.ndarray) -> np.ndarray:
+def _shifted_exp(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``rows`` less each row's max, the ``exp`` of that, and each row's total of the ``exp``: the
+    parts of a log-softmax (``shifted - log(total)``) and a softmax (``exp / total``)."""
     shifted = rows - rows.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    exp = np.exp(shifted)
+    return shifted, exp, exp.sum(axis=-1, keepdims=True)
+
+
+def _log_softmax(rows: np.ndarray) -> np.ndarray:
+    shifted, _, total = _shifted_exp(rows)
+    return shifted - np.log(total)
 
 
 @dataclass(frozen=True)
@@ -560,10 +563,7 @@ class ToyPolicy:
         seen = np.zeros(len(table), bool)
         seen[states] = True
         distinct = np.flatnonzero(seen)
-        rows = table[distinct] / self.temperature
-        shifted = rows - rows.max(axis=-1, keepdims=True)
-        exp = np.exp(shifted)
-        total = exp.sum(axis=-1, keepdims=True)
+        shifted, exp, total = _shifted_exp(table[distinct] / self.temperature)
         return StateRows(distinct, (np.cumsum(seen) - 1)[states], shifted - np.log(total), exp / total)
 
     def token_logps(self, entity_id: str, tokens: tuple[int, ...]) -> np.ndarray:

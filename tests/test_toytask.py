@@ -618,6 +618,17 @@ class TestPolicyConfig:
         with pytest.raises(ValueError):
             PolicyConfig(**kwargs)
 
+    def test_temperature_type_messages_come_from_the_shared_real_check(self):
+        # evalkit._check_real, which OptimConfig's real fields also go through.
+        with pytest.raises(ValueError, match="^temperature must be a real number, got '1.0'$"):
+            PolicyConfig(temperature="1.0")
+        with pytest.raises(ValueError, match="^temperature must be a real number, not a boolean$"):
+            PolicyConfig(temperature=True)
+        with pytest.raises(ValueError, match="^temperature must be finite, got an integer beyond float range$"):
+            PolicyConfig(temperature=10**400)
+        with pytest.raises(ValueError, match="^temperature must be finite and > 0, got 0$"):
+            PolicyConfig(temperature=0)
+
     def test_edge_values_allowed(self):
         assert PolicyConfig(max_len=1).max_len == 1
         assert PolicyConfig(max_len=np.int64(3)).max_len == 3
