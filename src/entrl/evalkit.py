@@ -12,9 +12,10 @@ import math
 import numbers
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .reward import RewardBreakdown
+if TYPE_CHECKING:
+    from .reward import RewardBreakdown
 
 __all__ = [
     "pass_at_k_single",

@@ -30,8 +30,11 @@ and ``coeffs`` hold one entry per token:
   gives the live log-probabilities, and ``rows[keep]`` selects the rows of
   a subset of the tokens, for the gradient;
 - ``new_grad()`` and ``accumulate_score_grad(rows, tokens, coeffs, grad)``, which
-  adds ``coeffs[i]`` times row ``i``'s score gradient, in row order, into a fresh ``new_grad()``;
-- ``apply_gradient(grad, learning_rate)``.
+  fills a fresh ``new_grad()`` with the sum of ``coeffs[i]`` times row ``i``'s score
+  gradient, in row order.  The gradient holds only the distinct states of ``rows``;
+  every other parameter's gradient is zero;
+- ``apply_gradient(grad, learning_rate)``, which adds ``learning_rate`` times the
+  gradient to the live parameters, with the bytes of adding it as a dense array.
 
 The clip band is asymmetric and deliberately tight; once a term is clipped
 it is constant in the parameters and contributes zero gradient, so later

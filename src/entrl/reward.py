@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .evalkit import _check_real
 from .textnorm import GoldEntitySet, match_entity
 
 __all__ = [
@@ -35,7 +36,7 @@ ABLATIONS = ("full", "no_len_gate", "soft_format", "no_think")
 
 @dataclass(frozen=True)
 class RewardConfig:
-    """Scoring constants.  Defaults: alpha=0.2, tau=2, character lengths."""
+    """Scoring constants, ``alpha`` and ``tau`` stored as floats.  Defaults: alpha=0.2, tau=2, character lengths."""
 
     alpha: float = 0.2
     tau: float = 2.0
@@ -44,13 +45,13 @@ class RewardConfig:
     close_marker: str = "</think>"
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "tau"):
-            if isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be a real number, not a boolean")
-        if not 0.0 < self.alpha < 1.0:
+        alpha, tau = (_check_real(name, getattr(self, name)) for name in ("alpha", "tau"))
+        if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if not 0.0 < self.tau < math.inf:
+        if not 0.0 < tau < math.inf:
             raise ValueError(f"tau must be finite and positive, got {self.tau}")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "tau", tau)
         if self.length_unit not in ("characters", "tokens"):
             raise ValueError(f"unknown length_unit {self.length_unit!r}")
         if not self.open_marker or not self.close_marker:
@@ -58,6 +59,11 @@ class RewardConfig:
         # Containment between markers would make occurrence counts ambiguous.
         if self.open_marker in self.close_marker or self.close_marker in self.open_marker:
             raise ValueError("markers must not contain each other")
+        # One passing breakdown per (length bit, match bit).  Not a field: equality, repr and
+        # ``replace`` see only the constants.
+        object.__setattr__(self, "_passing", tuple(
+            tuple(RewardBreakdown(1, len_bit, match, float(len_bit) * (alpha + match)) for match in (0, 1))
+            for len_bit in (0, 1)))
 
 
 @dataclass(frozen=True)
@@ -87,26 +93,33 @@ class RewardBreakdown:
     reward: float
 
 
+_FORMAT_FAIL = ResponseSegments(format_valid=0)
+_FORMAT_FAIL_BREAKDOWN = RewardBreakdown(0, 0, 0, 0.0)
+
+
 def parse_segments(raw: str, config: RewardConfig) -> ResponseSegments:
     """Strictly decompose a raw response into think and translation segments.
 
     Valid means: exactly one open marker, positioned at the start of the
     response modulo leading whitespace; exactly one close marker, after the
     open marker; and a non-empty translation after trimming.  Anything else
-    yields ``format_valid=0`` with empty segments.
+    yields ``format_valid=0`` with empty segments, as does any response when
+    the open marker starts with whitespace.
     """
-    invalid = ResponseSegments(format_valid=0)
-    if raw.count(config.open_marker) != 1 or raw.count(config.close_marker) != 1:
-        return invalid
-    if not raw.lstrip().startswith(config.open_marker):
-        return invalid
-    open_end = raw.index(config.open_marker) + len(config.open_marker)
-    close_start = raw.index(config.close_marker)
+    opener, closer = config.open_marker, config.close_marker
+    open_start, close_start = raw.find(opener), raw.find(closer)
+    # Counting from the first occurrence counts every occurrence.
+    if (open_start < 0 or close_start < 0 or raw.count(opener, open_start) != 1
+            or raw.count(closer, close_start) != 1):
+        return _FORMAT_FAIL
+    if (open_start and not raw[:open_start].isspace()) or opener[0].isspace():
+        return _FORMAT_FAIL
+    open_end = open_start + len(opener)
     if close_start < open_end:
-        return invalid
-    trans = raw[close_start + len(config.close_marker):].strip()
+        return _FORMAT_FAIL
+    trans = raw[close_start + len(closer):].strip()
     if not trans:
-        return invalid
+        return _FORMAT_FAIL
     return ResponseSegments(format_valid=1, think=raw[open_end:close_start], trans=trans)
 
 
@@ -115,11 +128,11 @@ def _parse_soft(raw: str, config: RewardConfig) -> ResponseSegments:
     # response eligible; the translation (possibly empty) is what follows it.
     open_start = raw.find(config.open_marker)
     if open_start < 0:
-        return ResponseSegments(format_valid=0)
+        return _FORMAT_FAIL
     open_end = open_start + len(config.open_marker)
     close_start = raw.find(config.close_marker, open_end)
     if close_start < 0:
-        return ResponseSegments(format_valid=0)
+        return _FORMAT_FAIL
     trans = raw[close_start + len(config.close_marker):].strip()
     return ResponseSegments(format_valid=1, think=raw[open_end:close_start], trans=trans)
 
@@ -176,15 +189,13 @@ def score_response(
         seg = parse_segments(raw, config)
 
     if not seg.format_valid:
-        return RewardBreakdown(0, 0, 0, 0.0), seg
+        return _FORMAT_FAIL_BREAKDOWN, seg
 
     if ablation in ("no_len_gate", "soft_format"):
         len_bit = 1
     else:
         len_bit = length_gate(seg.trans, ref_lengths, config)
-    match = match_entity(seg.trans, gold)
-    reward = float(len_bit) * (config.alpha + match)
-    return RewardBreakdown(1, len_bit, match, reward), seg
+    return config._passing[len_bit][match_entity(seg.trans, gold)], seg
 
 
 def compute_reward(

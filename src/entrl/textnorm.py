@@ -96,4 +96,7 @@ def match_entity(translation: str, gold: GoldEntitySet) -> int:
     bool because the value feeds arithmetic in the reward.
     """
     normed = normalize(translation)
-    return int(any(alias in normed for alias in gold.normalized_aliases))
+    for alias in gold.normalized_aliases:
+        if alias in normed:
+            return 1
+    return 0

@@ -267,7 +267,8 @@ def gen_lexicon(
     pad_lo, pad_hi = ref_pad_range
     if not (_is_int(pad_lo) and _is_int(pad_hi) and 0 <= pad_lo <= pad_hi):
         raise ValueError(f"bad ref_pad_range {ref_pad_range!r}")
-    if not 0.0 < train_fraction < 1.0:
+    fraction = _check_real("train_fraction", train_fraction)
+    if not 0.0 < fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     pool = np.arange(FILLER + 1, vocab_size)
     if len(pool) < aliases_per_entity * hi:
@@ -314,7 +315,7 @@ def gen_lexicon(
         kept_aliases.extend(aliases)
 
     order = rng.permutation(n_entities)
-    n_train = int(np.clip(round(train_fraction * n_entities), 1, n_entities - 1))
+    n_train = int(np.clip(round(fraction * n_entities), 1, n_entities - 1))
     ids = [entities[int(j)].entity_id for j in order]
     return SyntheticLexicon(
         vocab_size=vocab_size,
@@ -483,6 +484,15 @@ class StateRows:
         return replace(self, index=self.index[keep])
 
 
+@dataclass
+class RowGrad:
+    """A score gradient that is zero outside its ``rows`` of ``logits.reshape(-1, vocab_size)``:
+    ``sums[i]`` is the gradient of row ``rows[i]``."""
+
+    rows: np.ndarray
+    sums: np.ndarray
+
+
 class ToyPolicy:
     """Entity-conditioned bigram softmax policy at a finite, positive temperature.
 
@@ -493,7 +503,9 @@ class ToyPolicy:
     returns the log-probs that sampling records, bit for bit.  ``state_rows``
     computes the live log-softmax and softmax row of each distinct (entity,
     previous token) state once, and both the live log-probs and
-    ``accumulate_score_grad`` read those rows.
+    ``accumulate_score_grad`` read those rows.  A pass's gradient is a
+    ``RowGrad`` holding only those rows, and ``apply_gradient`` writes only
+    them, apart from one in-place add of ``learning_rate * 0.0`` to the table.
     """
 
     def __init__(self, lexicon: SyntheticLexicon, logits: np.ndarray,
@@ -572,29 +584,38 @@ class ToyPolicy:
         toks = np.asarray(tokens, dtype=np.intp)
         return self.state_rows(self.token_states([entity_id], toks, [len(toks)])).logps(toks)
 
-    def new_grad(self) -> np.ndarray:
-        return np.zeros(self.logits.shape)
+    def new_grad(self) -> RowGrad:
+        """An empty gradient, for one ``accumulate_score_grad`` call to fill."""
+        return RowGrad(np.empty(0, np.intp), np.empty((0, self.lexicon.vocab_size)))
 
     def accumulate_score_grad(
-        self, rows: StateRows, tokens: np.ndarray, coeffs: np.ndarray, grad: np.ndarray
+        self, rows: StateRows, tokens: np.ndarray, coeffs: np.ndarray, grad: RowGrad
     ) -> None:
-        """Add coeffs[i] * grad of log pi(tokens[i] | state i) into ``grad``, where ``rows`` holds
-        the live rows of the states: one ``np.bincount`` sums each cell's terms in row order, added
-        once, so into a fresh ``new_grad()`` it gives the bytes of adding row by row."""
+        """Set the fresh ``grad`` to the sum of coeffs[i] * grad of log pi(tokens[i] | state i),
+        where ``rows`` holds the live rows of the states: ``grad`` takes ``rows.distinct``, and one
+        ``np.bincount`` sums each of their cells' terms in row order."""
         vocab = self.lexicon.vocab_size
         coeffs = coeffs / self.temperature
         # coeffs[i] * (onehot - probs), product by product: -(p * c) is (-p) * c, and
         # 1.0 - p is (-p) + 1.0.
-        terms = np.take(rows.probs, rows.index, axis=0) * -coeffs[:, None]
+        terms = np.take(rows.probs, rows.index, axis=0)
+        terms *= -coeffs[:, None]
         terms[np.arange(len(terms)), tokens] = coeffs * (1.0 - rows.probs[rows.index, tokens])
         sums = np.bincount((rows.index[:, None] * vocab + np.arange(vocab)).ravel(), terms.ravel(),
                            rows.distinct.size * vocab)
-        grad.reshape(-1, vocab)[rows.distinct] += sums.reshape(-1, vocab)
+        grad.rows, grad.sums = rows.distinct, sums.reshape(-1, vocab)
 
-    def apply_gradient(self, grad: np.ndarray, learning_rate: float) -> None:
-        if grad.shape != self.logits.shape:
+    def apply_gradient(self, grad: RowGrad, learning_rate: float) -> None:
+        """``logits += learning_rate * dense``, bit for bit, where ``dense`` is ``grad`` written into a
+        table of zeros: each row of ``grad`` gains ``learning_rate * (0.0 + sums)``, and every other
+        cell ``learning_rate * 0.0``, which turns a ``-0.0`` into ``+0.0``."""
+        if grad.sums.shape != (len(grad.rows), self.lexicon.vocab_size):
             raise ValueError("gradient shape mismatch")
-        self.logits += learning_rate * grad
+        cells = np.unravel_index(grad.rows, self.logits.shape[:2])
+        # The rows' sums are taken before the += below, as the dense sum adds to the old values.
+        updated = self.logits[cells] + learning_rate * (0.0 + grad.sums)
+        self.logits += learning_rate * 0.0
+        self.logits[cells] = updated
 
 
 @dataclass
@@ -846,9 +867,9 @@ class PriorStructure:
 
     def __post_init__(self) -> None:
         for name in ("chain_strength", "distractor_eos", "alias_end_eos"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not np.isfinite(value):
+            if not np.isfinite(value := _check_real(name, getattr(self, name))):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
+            object.__setattr__(self, name, value)
 
 
 def _structured_logits(

@@ -197,6 +197,16 @@ class TestConfigHandling:
         assert code == 1
         assert "bad reward config" in capsys.readouterr().err
 
+    def test_reward_value_beyond_float_range_reported(self, tmp_path, capsys):
+        # A 401-digit tau is rejected with the config, not by an OverflowError on the first scored line.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"reward": {"tau": 1' + "0" * 400 + "}}")
+        inp = tmp_path / "in.jsonl"
+        write_jsonl(inp, [score_record_obj("a", GOOD)])
+        code = main(["score", "--input", str(inp), "--config", str(cfg), "--output", str(tmp_path / "o")])
+        assert code == 1
+        assert "bad reward config: tau must be finite" in capsys.readouterr().err
+
 
 class TestScoreCommand:
     def test_round_trip_counts_and_summary(self, tmp_path, capsys):

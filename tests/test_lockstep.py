@@ -8,6 +8,8 @@ step.  The sampler's array streams must equal numpy's SeedSequence children
 and Generators word for word and draw for draw.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,7 @@ from entrl import (
 from entrl.optim import _check_groups, _live_ratios
 from entrl.toytask import (
     EOS,
+    RowGrad,
     ToyPolicy,
     _next_tokens,
     _pcg_uniforms,
@@ -53,6 +56,13 @@ def random_policy(seed: int) -> ToyPolicy:
     # token, so rollouts of 8, 16 and more tokens and truncation all occur.
     rng = np.random.default_rng(seed)
     return ToyPolicy(LEX, rng.normal(0.0, 1.0, size=(len(IDS), 32, 32)))
+
+
+def dense(policy: ToyPolicy, grad: RowGrad) -> np.ndarray:
+    """The gradient as a table: its rows' sums added into zeros."""
+    table = np.zeros(policy.logits.shape)
+    table.reshape(-1, policy.lexicon.vocab_size)[grad.rows] += grad.sums
+    return table
 
 
 def assert_same_rollout(ro, expected):
@@ -194,9 +204,8 @@ class TestSnapshotTables:
         policy = random_policy(7)
         policy.snapshot()
         first = self.sample(policy, [2] * 8, 0)
-        grad = policy.new_grad()
-        grad[2] = np.random.default_rng(0).normal(0.0, 1.0, size=grad[2].shape)
-        policy.apply_gradient(grad, 1.0)
+        sums = np.random.default_rng(0).normal(0.0, 1.0, size=(32, 32))
+        policy.apply_gradient(RowGrad(np.arange(2 * 32, 3 * 32), sums), 1.0)  # entity 2's rows
         policy.snapshot()
         again = self.sample(policy, [2] * 8, 0)
         fresh = ToyPolicy(LEX, policy.logits.copy())
@@ -321,6 +330,89 @@ class TestArrayUpdate:
         # Together the passes read each rollout's tokens once.
         assert sum(calls) == sum(len(m.tokens) for g in groups for m in g.members)
 
+    @pytest.mark.parametrize("learning_rate", [3.0, 0.0])
+    def test_negative_zero_logits_end_as_the_dense_sum_leaves_them(self, learning_rate):
+        # The dense ``logits += lr * grad`` adds lr * 0.0 to every cell no
+        # rollout visits, which turns -0.0 into +0.0, and at lr 0.0 adds a
+        # -0.0 to a visited cell whose sum is negative, which keeps its -0.0.
+        policy, groups = update_fixture(seed=3, n_groups=6, group_size=4)
+        tokens = [m.tokens for g in groups for m in g.members]
+        visited = set(policy.token_states([g.prompt_id for g in groups for _ in g.members],
+                                          np.concatenate(tokens), [len(t) for t in tokens]).tolist())
+        unvisited, visited = sorted(set(range(len(IDS) * 32)) - visited), sorted(visited)
+        table = policy.logits.reshape(-1, 32)
+        table[unvisited[:3] + visited[:3]] = -0.0
+        config = OptimConfig(group_size=4, learning_rate=learning_rate, mini_batch_size=1, updates_per_batch=1)
+        reference = ToyPolicy(LEX, policy.logits.copy())
+        policy_update_step(policy, groups, config, rng=np.random.default_rng(5))
+        policy_update_loop(reference, groups, config, rng=np.random.default_rng(5))
+        assert policy.logits.tobytes() == reference.logits.tobytes()
+        assert (table[unvisited[:3]] == 0.0).all() and not np.signbit(table[unvisited[:3]]).any()
+        if learning_rate == 0.0:
+            assert np.signbit(table[visited[:3]]).any()
+
+    @pytest.mark.parametrize("zero_adv", [True, False], ids=["no-rollouts", "all-clipped"])
+    def test_a_pass_with_no_active_rollout_matches_the_loop(self, zero_adv, monkeypatch):
+        # One group per pass: group 0 has equal rewards, so its pass has no
+        # rollouts; or group 1 is clipped whole, so its pass has no active one.
+        policy, groups = update_fixture(seed=3, n_groups=3, group_size=4, zero_adv=zero_adv,
+                                        clipped_group=None if zero_adv else 1)
+        config = OptimConfig(group_size=4, learning_rate=3.0, mini_batch_size=1, updates_per_batch=3)
+        reference = ToyPolicy(LEX, policy.logits.copy())
+        accumulated = []
+        accumulate = ToyPolicy.accumulate_score_grad
+
+        def recorded(self, rows, tokens, coeffs, grad):
+            accumulated.append(len(tokens))
+            return accumulate(self, rows, tokens, coeffs, grad)
+
+        monkeypatch.setattr(ToyPolicy, "accumulate_score_grad", recorded)
+        policy_update_step(policy, groups, config, rng=np.random.default_rng(5))
+        policy_update_loop(reference, groups, config, rng=np.random.default_rng(5))
+        assert policy.logits.tobytes() == reference.logits.tobytes()
+        assert 0 in accumulated and len(accumulated) == 3
+
+    def test_update_allocates_less_than_one_table(self):
+        # 200 entities, of which the groups visit 4: the dense gradient and
+        # its lr * grad product each took a whole table.
+        lexicon = gen_lexicon(seed=0, n_entities=200, aliases_per_entity=1, alias_len_range=(2, 2),
+                              vocab_size=48)
+        rng = np.random.default_rng(0)
+        policy = ToyPolicy(lexicon, rng.normal(0.0, 1.0, size=(200, 48, 48)))
+        policy.snapshot()
+        groups = []
+        for g, ent in enumerate(lexicon.train_ids[:4]):
+            rollouts = [sample_rollout(policy, ent, 24, (g, m)) for m in range(4)]
+            members = [GroupMember(ro.tokens, ro.old_logp, r) for ro, r in zip(rollouts, (1.2, 0.2, 0.0, 0.2))]
+            groups.append(RolloutGroup(ent, members, policy.snapshot_version))
+        config = OptimConfig(group_size=4, learning_rate=3.0, mini_batch_size=1, updates_per_batch=4)
+        before = policy.logits.copy()
+        tracemalloc.start()
+        try:
+            policy_update_step(policy, groups, config, rng=np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.any(policy.logits != before)
+        assert peak < policy.logits.nbytes, (peak, policy.logits.nbytes)
+
+    @pytest.mark.parametrize("n_groups, updates", [(5, 2), (3, 5)])
+    def test_gradient_hooks_run_once_per_non_empty_pass(self, n_groups, updates, monkeypatch):
+        # A pass is new_grad, one accumulate_score_grad, then apply_gradient:
+        # the train benchmark splits the passes at apply_gradient and counts
+        # the accumulate_score_grad calls in each.
+        policy, groups = update_fixture(seed=3, n_groups=n_groups, group_size=4)
+        calls = []
+        for name in ("new_grad", "accumulate_score_grad", "apply_gradient"):
+            def recorded(self, *args, _name=name, _method=getattr(ToyPolicy, name)):
+                calls.append(_name)
+                return _method(self, *args)
+
+            monkeypatch.setattr(ToyPolicy, name, recorded)
+        config = OptimConfig(group_size=4, mini_batch_size=1, updates_per_batch=updates)
+        policy_update_step(policy, groups, config, rng=np.random.default_rng(0))
+        assert calls == ["new_grad", "accumulate_score_grad", "apply_gradient"] * min(n_groups, updates)
+
     def test_ratios_match_per_rollout_means(self):
         # Old log-probs well below the live ones give means of order 1, so
         # a mean summed in another grouping (over padded rows, say) shows
@@ -357,10 +449,10 @@ class TestArrayUpdate:
         coeffs = np.linspace(-1.5, 2.0, len(rollouts))
         grad = policy.new_grad()
         policy.accumulate_score_grad(rows, tokens, np.repeat(coeffs, lengths), grad)
-        expected = policy.new_grad()
+        expected = np.zeros(policy.logits.shape)
         for ro, coeff in zip(rollouts, coeffs):
             _accumulate_score_grad(policy, ro.entity_id, ro.tokens, float(coeff), expected)
-        assert grad.tobytes() == expected.tobytes()
+        assert dense(policy, grad).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("rows", [0, 1, 7, 600])
     def test_score_grad_is_the_in_order_scatter(self, rows):
@@ -380,10 +472,11 @@ class TestArrayUpdate:
         shifted = np.exp(rows_t - rows_t.max(axis=-1, keepdims=True))
         delta = -(shifted / shifted.sum(axis=-1, keepdims=True))
         delta[np.arange(rows), tokens] += 1.0
-        expected = policy.new_grad()
+        expected = np.zeros(policy.logits.shape)
         np.add.at(expected.reshape(-1, 32), states, (coeffs / policy.temperature)[:, None] * delta)
-        assert grad.tobytes() == expected.tobytes()
-        assert grad.any() == (rows > 0)
+        assert dense(policy, grad).tobytes() == expected.tobytes()
+        assert dense(policy, grad).any() == (rows > 0)
+        assert grad.rows.tolist() == sorted(set(states.tolist()))
 
     def test_surrogate_matches_the_loop(self):
         policy, groups = update_fixture(seed=6, n_groups=5, group_size=4, zero_adv=True)

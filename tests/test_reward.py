@@ -1,5 +1,9 @@
 """Gated reward semantics: parsing, gates, ablations, exact values."""
 
+import dataclasses
+from decimal import Decimal
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +17,7 @@ from entrl import (
     parse_segments,
     score_response,
 )
+from oracles.parse_ref import parse_segments_ref
 
 GOLD = GoldEntitySet("city", ("Munich", "München"))
 CFG = RewardConfig()
@@ -60,6 +65,41 @@ class TestParseSegments:
         assert seg.trans == "answer"
 
 
+# Whitespace that str.isspace and str.strip treat alike, ASCII and not.
+WHITESPACE = (" ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028", "\u3000")
+
+
+def _pieces(config):
+    """Each marker, each of its prefixes and suffixes, whitespace and a few other characters."""
+    fragments = {m[:k] for m in (config.open_marker, config.close_marker) for k in range(1, len(m) + 1)}
+    fragments |= {m[k:] for m in (config.open_marker, config.close_marker) for k in range(len(m))}
+    return sorted(fragments) + list(WHITESPACE) + ["a", "x", "é", "\u3042", "<", ">", "/", "munich"]
+
+
+PARSE_CONFIGS = {
+    "default": RewardConfig(),
+    "overlapping": RewardConfig(open_marker="ab", close_marker="bc"),
+    "opener-starts-with-space": RewardConfig(open_marker=" a", close_marker="b"),
+    "whitespace-opener": RewardConfig(open_marker="\n", close_marker="b"),
+}
+
+
+class TestParseSegmentsEquivalence:
+    @pytest.mark.parametrize("name", list(PARSE_CONFIGS))
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_reference_parser(self, name, data):
+        config = PARSE_CONFIGS[name]
+        raw = "".join(data.draw(st.lists(st.sampled_from(_pieces(config)), max_size=12)))
+        assert parse_segments(raw, config) == parse_segments_ref(raw, config)
+
+    @pytest.mark.parametrize("raw", [" a b c", "  a b x", "\u3000 a bx", " ab x"])
+    def test_an_opener_that_starts_with_whitespace_never_validates(self, raw):
+        config = PARSE_CONFIGS["opener-starts-with-space"]
+        assert parse_segments(raw, config).format_valid == 0
+        assert parse_segments_ref(raw, config).format_valid == 0
+
+
 class TestRewardConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"alpha": 0.0},
@@ -72,10 +112,28 @@ class TestRewardConfigValidation:
         {"tau": float("inf")},
         {"alpha": True},
         {"tau": True},
+        {"alpha": "0.2"},
+        {"alpha": Decimal("0.2")},
+        {"tau": 10**400},
+        {"tau": None},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             RewardConfig(**kwargs)
+
+    def test_stores_floats(self):
+        cfg = RewardConfig(alpha=Fraction(1, 4), tau=3)
+        assert (cfg.alpha, cfg.tau) == (0.25, 3.0)
+        assert type(cfg.alpha) is float and type(cfg.tau) is float
+        assert cfg == RewardConfig(alpha=0.25, tau=3.0)
+        assert hash(cfg) == hash(RewardConfig(alpha=0.25, tau=3.0))
+
+    def test_replace_rebuilds_the_passing_rewards(self):
+        cfg = dataclasses.replace(CFG, alpha=0.3)
+        assert repr(cfg) == repr(RewardConfig(alpha=0.3))
+        assert compute_reward("<think>a</think> munich", GOLD, [6], cfg).reward == 1.3
+        assert compute_reward("<think>a</think> paris", GOLD, [6], cfg).reward == 0.3
+        assert compute_reward("<think>a</think> munich", GOLD, [6], CFG).reward == 1.2
 
 
 class TestLengthGate:

@@ -3,6 +3,8 @@
 import dataclasses
 import re
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,6 +41,7 @@ from entrl.toytask import (
     THINK_CLOSE,
     THINK_OPEN,
     Entity,
+    RowGrad,
     ToyPolicy,
     _contains_run,
     _RolloutBatch,
@@ -124,6 +127,9 @@ class TestGenLexicon:
         {"aliases_per_entity": 0},
         {"alias_len_range": (2.0, 3)},
         {"ref_pad_range": (0, 1.5)},
+        {"train_fraction": "0.5"},
+        {"train_fraction": Decimal("0.5")},
+        {"train_fraction": True},
     ])
     def test_rejects_bad_arguments(self, kwargs):
         base = {"seed": 0, "n_entities": 4, "vocab_size": 32}
@@ -307,7 +313,7 @@ class TestToyPolicy:
     def test_apply_gradient_shape_check(self):
         policy = small_policy()
         with pytest.raises(ValueError):
-            policy.apply_gradient(np.zeros((2, 2)), 0.1)
+            policy.apply_gradient(RowGrad(np.arange(2), np.zeros((2, 2))), 0.1)
 
     def test_table_above_the_cell_limit_rejected(self, monkeypatch):
         # 2 entities x (10**7)**2 cells is far beyond any address space, so
@@ -647,9 +653,15 @@ class TestPriorStructure:
 
     def test_rejects_non_finite(self):
         for kwargs in ({"chain_strength": float("nan")}, {"distractor_eos": float("inf")},
-                       {"chain_strength": True}, {"alias_end_eos": False}):
+                       {"chain_strength": True}, {"alias_end_eos": False}, {"chain_strength": "6"},
+                       {"distractor_eos": Decimal("4")}, {"alias_end_eos": 10**400}):
             with pytest.raises(ValueError):
                 PriorStructure(**kwargs)
+
+    def test_stores_floats(self):
+        st = PriorStructure(chain_strength=6, distractor_eos=np.float32(4.0), alias_end_eos=Fraction(6))
+        assert st == PriorStructure()
+        assert {type(v) for v in dataclasses.astuple(st)} == {float}
 
 
 class TestInitActivationPrior:
