@@ -17,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from .evalkit import PassAtKInput, _check_int, _is_int, pass_at_k_curve
+from .evalkit import PassAtKInput, _check_int, _check_real, _is_int, pass_at_k_curve
 from .reward import ABLATIONS, RewardConfig, _check_ablation
 from .scoring import (RecordError, RewardService, _encode_reply, _read_lines, decode_line,
                       score_lines, serve_stdio, summarize)
@@ -80,7 +80,7 @@ def reward_config_from(doc: dict, defaults: RewardConfig | None = None) -> Rewar
         overrides.update({f"{end}_marker": markers[end] for end in ("open", "close") if end in markers})
     try:
         return dataclasses.replace(defaults or RewardConfig(), **overrides)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(f"bad reward config: {exc}") from None
 
 
@@ -277,8 +277,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    from .toytask import (PolicyConfig, SyntheticLexicon, _check_target_pass1_max, init_activation_prior,
-                          measure_pass_at_k, metrics_to_csv, save_policy, toy_reward_config, train)
+    from .toytask import (PolicyConfig, SyntheticLexicon, init_activation_prior, measure_pass_at_k,
+                          metrics_to_csv, save_policy, toy_reward_config, train)
 
     doc = load_config(args.config)
     reward_cfg = reward_config_from(doc, defaults=toy_reward_config())
@@ -291,7 +291,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     try:
         _check_int("steps", steps, 0)
         _check_int("seed", seed, 0)
-        _check_target_pass1_max(target)
+        _check_real("target_pass1_max", target, (0.0, 1.0))
         policy_cfg = PolicyConfig(**{key: section[key] for key in ("temperature", "max_len")
                                      if key in section})
     except ValueError as exc:

@@ -40,18 +40,21 @@ def _check_int(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
-def _check_real(name: str, value) -> float:
+def _check_real(name: str, value, bounds: tuple[float, float] | None = None) -> float:
     """``float(value)`` for a real number (numpy's included), so a range check compares the number a
-    caller will use; a boolean, a non-real (a string, say) or an integer beyond float range raises
-    ``ValueError`` naming ``name``."""
+    caller will use; a boolean, a non-real (a string, say), an integer beyond float range or a
+    number outside the open interval ``bounds`` raises ``ValueError`` naming ``name``."""
     if isinstance(value, bool):
         raise ValueError(f"{name} must be a real number, not a boolean")
     if not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
-        return float(value)
+        real = float(value)
     except OverflowError:
         raise ValueError(f"{name} must be finite, got an integer beyond float range") from None
+    if bounds is not None and not bounds[0] < real < bounds[1]:
+        raise ValueError(f"{name} must be in ({bounds[0]:g}, {bounds[1]:g}), got {value}")
+    return real
 
 
 # pass_at_k_single multiplies out at most this many factors of its product.

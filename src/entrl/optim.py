@@ -87,11 +87,10 @@ class OptimConfig:
     def __post_init__(self) -> None:
         for name, minimum in (("group_size", 2), ("mini_batch_size", 1), ("updates_per_batch", 1)):
             _check_int(name, getattr(self, name), minimum)
-        eps_low, eps_high, learning_rate, std_floor = (
-            _check_real(name, getattr(self, name)) for name in ("eps_low", "eps_high", "learning_rate", "std_floor"))
-        for name, eps in (("eps_low", eps_low), ("eps_high", eps_high)):
-            if not 0.0 < eps < 1.0:
-                raise ValueError(f"{name} must be in (0, 1), got {getattr(self, name)}")
+        for name in ("eps_low", "eps_high"):
+            _check_real(name, getattr(self, name), (0.0, 1.0))
+        learning_rate = _check_real("learning_rate", self.learning_rate)
+        std_floor = _check_real("std_floor", self.std_floor)
         if not 0.0 <= learning_rate < np.inf:
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if (n := self.group_size * self.mini_batch_size * self.updates_per_batch) > MAX_ROLLOUTS_PER_STEP:

@@ -45,17 +45,16 @@ class RewardConfig:
     close_marker: str = "</think>"
 
     def __post_init__(self) -> None:
-        alpha, tau = (_check_real(name, getattr(self, name)) for name in ("alpha", "tau"))
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        alpha, tau = _check_real("alpha", self.alpha, (0.0, 1.0)), _check_real("tau", self.tau)
         if not 0.0 < tau < math.inf:
             raise ValueError(f"tau must be finite and positive, got {self.tau}")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "tau", tau)
         if self.length_unit not in ("characters", "tokens"):
             raise ValueError(f"unknown length_unit {self.length_unit!r}")
-        if not self.open_marker or not self.close_marker:
-            raise ValueError("markers must be non-empty")
+        for name in ("open_marker", "close_marker"):
+            if not isinstance(marker := getattr(self, name), str) or not marker:
+                raise ValueError(f"{name} must be a non-empty string, got {marker!r}")
         # Containment between markers would make occurrence counts ambiguous.
         if self.open_marker in self.close_marker or self.close_marker in self.open_marker:
             raise ValueError("markers must not contain each other")
@@ -151,7 +150,7 @@ def length_gate(trans: str, ref_lengths: list[int], config: RewardConfig) -> int
     """
     if not ref_lengths:
         raise ValueError("ref_lengths must be non-empty")
-    if any(n <= 0 for n in ref_lengths):
+    if min(ref_lengths) <= 0:
         raise ValueError(f"ref_lengths must be positive, got {ref_lengths!r}")
     mean_ref = sum(ref_lengths) / len(ref_lengths)
     return int(_measured_length(trans, config.length_unit) <= config.tau * mean_ref)

@@ -21,9 +21,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import numbers
 from dataclasses import astuple, dataclass, field, fields, replace
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import add
 from pathlib import Path
 
@@ -231,9 +230,10 @@ def _doc_value(doc, key: str, kind: type = object):
     return doc[key]
 
 
-def _contains_run(hay: tuple[int, ...], needle: tuple[int, ...]) -> bool:
-    n = len(needle)
-    return any(hay[i : i + n] == needle for i in range(len(hay) - n + 1))
+def _run_text(tokens: tuple[int, ...]) -> str:
+    """``tokens`` as ``",6,9,"``: a sequence is a contiguous run of another exactly when its text
+    is a substring of the other's."""
+    return f",{','.join(map(str, tokens))},"
 
 
 def gen_lexicon(
@@ -267,9 +267,7 @@ def gen_lexicon(
     pad_lo, pad_hi = ref_pad_range
     if not (_is_int(pad_lo) and _is_int(pad_hi) and 0 <= pad_lo <= pad_hi):
         raise ValueError(f"bad ref_pad_range {ref_pad_range!r}")
-    fraction = _check_real("train_fraction", train_fraction)
-    if not 0.0 < fraction < 1.0:
-        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    fraction = _check_real("train_fraction", train_fraction, (0.0, 1.0))
     pool = np.arange(FILLER + 1, vocab_size)
     if len(pool) < aliases_per_entity * hi:
         raise ValueError(
@@ -280,7 +278,7 @@ def gen_lexicon(
     rng = np.random.default_rng(np.random.SeedSequence((seed, _STREAM_LEXICON)))
     width = len(str(n_entities - 1))
     source_tokens = rng.permutation(pool)[:n_entities]
-    kept_aliases: list[tuple[int, ...]] = []
+    kept_texts: list[str] = []
     entities: list[Entity] = []
     for i in range(n_entities):
         for attempt in range(200):
@@ -290,12 +288,8 @@ def gen_lexicon(
             for ln in lengths:
                 aliases.append(tuple(int(t) for t in picks[start : start + ln]))
                 start += int(ln)
-            clash = any(
-                _contains_run(a, b) or _contains_run(b, a)
-                for a in aliases
-                for b in kept_aliases
-            )
-            if not clash:
+            texts = list(map(_run_text, aliases))
+            if not any(a in b or b in a for a in texts for b in kept_texts):
                 break
         else:
             raise RuntimeError(
@@ -312,7 +306,7 @@ def gen_lexicon(
                 canonical_ref=ref,
             )
         )
-        kept_aliases.extend(aliases)
+        kept_texts.extend(texts)
 
     order = rng.permutation(n_entities)
     n_train = int(np.clip(round(fraction * n_entities), 1, n_entities - 1))
@@ -368,20 +362,25 @@ def _key_words(key) -> int:
     return sum(map(_key_words, key))
 
 
+@lru_cache
+def _hash_after_parent(words: int) -> int:
+    """The mixing hash constant after ``SeedSequence`` mixes a key of ``words`` 32-bit words: 4
+    calls per pool word, 12 for the all-pairs pass and 4 per word beyond the pool."""
+    return _HASH_INIT_A * pow(_HASH_MULT_A, 16 + 4 * max(0, words - _POOL_WORDS), 1 << 32) & _MASK32
+
+
 def _spawned_streams(keys, n: int) -> np.ndarray:
     """The PCG64 stream of ``SeedSequence(key).spawn(n)[i]`` for each key, then each i.
 
     A child's entropy is its parent's, zero-padded to the pool, followed by
     the word ``i``, so its pool is the parent's pool with ``i`` mixed in,
     hashed with the constant the parent's own mixing left behind.
-    Returns the ``(4, len(keys) * n)`` array ``_pcg_uniforms`` reads.
+    Returns the ``(4, len(keys) * n)`` array ``_pcg_block`` reads.
     """
     pools = np.array([np.random.SeedSequence(key).pool for key in keys], np.uint32)
-    # The mixing hash constant after the parent's 4 calls per pool word, 12 for
-    # the all-pairs pass and 4 per word beyond the pool, then one per pool word.
-    after_parent = [_HASH_INIT_A * pow(_HASH_MULT_A, 16 + 4 * max(0, _key_words(key) - _POOL_WORDS),
-                                       1 << 32) & _MASK32 for key in keys]
-    consts = (np.array(after_parent, np.uint32)[:, None] * _HASH_A_STEPS)[:, None, :]
+    # The parent's mixing hash constant, then its steps before and after each pool word.
+    after_parent = np.array([_hash_after_parent(_key_words(key)) for key in keys], np.uint32)
+    consts = (after_parent[:, None] * _HASH_A_STEPS)[:, None, :]
     hashed = (np.arange(n, dtype=np.uint32)[None, :, None] ^ consts[..., :-1]) * consts[..., 1:]
     hashed ^= hashed >> 16
     pool = _MIX_MULT_L * pools[:, None, :] - _MIX_MULT_R * hashed
@@ -408,8 +407,8 @@ def _seed_streams(seeds) -> np.ndarray:
     return np.array(words, np.uint64).T
 
 
-def _mulhi64(x: np.ndarray, c: int) -> np.ndarray:
-    """The high 64 bits of ``x * c``, for uint64 ``x`` and a 64-bit constant ``c``."""
+def _mulhi64(x, c):
+    """The high 64 bits of ``x * c``, for uint64 arrays or 64-bit ints ``x`` and ``c`` that broadcast."""
     x0, x1, c0, c1 = x & _MASK32, x >> 32, c & _MASK32, c >> 32
     p01, p10 = x0 * c1, x1 * c0
     mid = (x0 * c0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
@@ -424,19 +423,36 @@ def _pcg_step(state_hi, state_lo, inc_hi, inc_lo) -> tuple[np.ndarray, np.ndarra
     return hi, lo
 
 
-def _pcg_uniforms(streams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The next uniform of each stream, as ``Generator.random`` draws it, and
-    the advanced streams.
+# The most uniforms one ``_pcg_block`` call draws per stream, and its jump-ahead constants as high
+# and low uint64 words: ``k`` LCG steps take a state to ``A_k * state + C_k * inc`` modulo 2**128,
+# with ``A_k = mult**k`` and ``C_k`` the sum of ``mult**j`` for ``j < k``.  Row ``k - 1`` is ``k``'s.
+_PCG_BLOCK = 8
+_PCG_MULT = _PCG_MULT_HI << 64 | _PCG_MULT_LO
+_JUMP_A = [pow(_PCG_MULT, k, 1 << 128) for k in range(1, _PCG_BLOCK + 1)]
+_JUMP_C = [sum(pow(_PCG_MULT, j, 1 << 128) for j in range(k)) % (1 << 128) for k in range(1, _PCG_BLOCK + 1)]
+_JUMP_A_HI, _JUMP_A_LO, _JUMP_C_HI, _JUMP_C_LO = (np.array([[v >> shift & _MASK64] for v in values], np.uint64)
+                                                  for values in (_JUMP_A, _JUMP_C) for shift in (64, 0))
+
+
+def _pcg_block(streams: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The next ``k`` (at most ``_PCG_BLOCK``) uniforms of each stream, as ``Generator.random``
+    draws them, and the streams advanced past them.
 
     ``streams`` rows are the 128-bit state's high and low words and the
-    increment's; column ``i`` is one stream.  A draw is an LCG step, the
-    XSL-RR output of the new state, and ``(x >> 11) * 2**-53``.
+    increment's; column ``i`` is one stream, and column ``i`` of the
+    ``(k, n)`` uniforms holds its draws in order.  Draw ``j`` is the XSL-RR
+    output of the state ``j + 1`` LCG steps on, one jump-ahead product for
+    all ``k`` at once, then ``(x >> 11) * 2**-53``.
     """
     state_hi, state_lo, inc_hi, inc_lo = streams
-    state_hi, state_lo = _pcg_step(state_hi, state_lo, inc_hi, inc_lo)
-    x, rot = state_hi ^ state_lo, state_hi >> 58
+    a_hi, a_lo, c_hi, c_lo = _JUMP_A_HI[:k], _JUMP_A_LO[:k], _JUMP_C_HI[:k], _JUMP_C_LO[:k]
+    inc_part = c_lo * inc_lo
+    lo = a_lo * state_lo + inc_part
+    hi = (_mulhi64(a_lo, state_lo) + a_lo * state_hi + a_hi * state_lo
+          + _mulhi64(c_lo, inc_lo) + c_lo * inc_hi + c_hi * inc_lo + (lo < inc_part))
+    x, rot = hi ^ lo, hi >> 58
     x = x >> rot | x << (64 - rot & 63)
-    return (x >> 11) * 2.0**-53, np.stack([state_hi, state_lo, inc_hi, inc_lo])
+    return (x >> 11) * 2.0**-53, np.stack([hi[-1], lo[-1], inc_hi, inc_lo])
 
 
 # Cells (entities x vocab_size**2) of a policy table: 128 MiB per float64 table, ~7 held at the peak.
@@ -499,7 +515,10 @@ class ToyPolicy:
     ``logits[entity, prev_token, next_token]`` are the live parameters;
     ``params_old`` is the frozen snapshot that rollouts are sampled from.
     ``snapshot()`` refreshes it and bumps ``snapshot_version`` so stale
-    rollouts can be detected.  Right after a snapshot, ``token_logps``
+    rollouts can be detected.  The sampler's tables under the snapshot keep
+    a built flag per (entity, previous token) row: ``snapshot()`` clears it
+    only for the rows whose logit bytes changed, and the sampler rebuilds
+    those of its entities in one call.  Right after a snapshot, ``token_logps``
     returns the log-probs that sampling records, bit for bit.  ``state_rows``
     computes the live log-softmax and softmax row of each distinct (entity,
     previous token) state once, and both the live log-probs and
@@ -521,6 +540,7 @@ class ToyPolicy:
         self.params_old = logits.copy()
         self.snapshot_version = 0
         self._old_tables_cache: tuple | None = None
+        self._tables_source: np.ndarray | None = None  # the params_old the built flags describe
 
     @property
     def n_params(self) -> int:
@@ -528,31 +548,41 @@ class ToyPolicy:
 
     def snapshot(self) -> None:
         """Freeze the current parameters as the sampling distribution."""
-        self.params_old = self.logits.copy()
+        previous, self.params_old = self.params_old, self.logits.copy()
         self.snapshot_version += 1
-        if self._old_tables_cache is not None:
-            self._old_tables_cache[-1][:] = False
+        if previous is self._tables_source:
+            built = self._old_tables_cache[-1]
+            # Compared as int64 words, so a -0.0 -> +0.0 or a NaN payload change is a change.
+            built &= (previous.view(np.int64) == self.params_old.view(np.int64)).all(-1)
+            self._tables_source = self.params_old
 
     def _old_tables(self, ent_rows=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(log-prob, cumulative-prob, entropy) tables under the snapshot, full-size and refilled in
-        place after the next one.  The rows of the entities at lexicon indices ``ent_rows`` (all
-        entities when None) are built the first time a call after the snapshot asks for them; every
-        row has the bytes of building all at once."""
+        """(log-prob, cumulative-prob, entropy) tables under the snapshot, full-size and kept across
+        snapshots.  A built flag per (entity, previous token) row says whether the row holds the
+        snapshot's values; ``snapshot()`` clears it only for rows whose logits changed, and a
+        ``params_old`` replaced other than by ``snapshot()`` clears every flag.  One call
+        builds every unflagged row of the entities at lexicon indices ``ent_rows`` (all entities
+        when None), and every row has the bytes of building all at once."""
         if self._old_tables_cache is None:
             shape = self.params_old.shape
             self._old_tables_cache = (np.empty(shape), np.empty(shape), np.empty(shape[:2]),
-                                      np.zeros(shape[0], bool))
+                                      np.zeros(shape[:2], bool))
         logp, cum, ent, built = self._old_tables_cache
-        wanted = np.ones_like(built)
+        if self._tables_source is not self.params_old:  # first use, or replaced other than by snapshot()
+            built[:] = False
+            self._tables_source = self.params_old
+        wanted = ~built
         if ent_rows is not None:
-            wanted[:] = False
-            wanted[ent_rows] = True
-        if (todo := np.flatnonzero(wanted & ~built)).size:
-            rows_logp = _log_softmax(self.params_old[todo] / self.temperature)
+            entities = np.zeros(len(built), bool)
+            entities[ent_rows] = True
+            wanted &= entities[:, None]
+        if (todo := np.flatnonzero(wanted)).size:
+            vocab = self.lexicon.vocab_size
+            rows_logp = _log_softmax(self.params_old.reshape(-1, vocab)[todo] / self.temperature)
             probs = np.exp(rows_logp)
-            logp[todo], cum[todo] = rows_logp, np.cumsum(probs, axis=-1)
-            ent[todo] = -(probs * rows_logp).sum(axis=-1)
-            built[todo] = True
+            logp.reshape(-1, vocab)[todo], cum.reshape(-1, vocab)[todo] = rows_logp, np.cumsum(probs, axis=-1)
+            ent.reshape(-1)[todo] = -(probs * rows_logp).sum(axis=-1)
+            built.reshape(-1)[todo] = True
         return logp, cum, ent
 
     def token_states(self, entity_ids, tokens: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -668,14 +698,18 @@ def _next_tokens(cum_rows: np.ndarray, u: np.ndarray, vocab_size: int) -> np.nda
     """Inverse-CDF token choice, one row per sequence.
 
     Counting the entries ``<= u`` of a non-decreasing row is
-    ``searchsorted(row, u, side="right")``; a ``u`` above the row's last
-    cumulative value (rounding) picks the last token.
+    ``searchsorted(row, u, side="right")``; a ``u`` at or above the row's last
+    cumulative value (rounding) picks the last token.  Those entries are a
+    prefix of the row (a cumulative sum is NaN from its first NaN on), so
+    the count is the index of the first entry that is not, found by ``argmin``.
     """
-    return np.minimum(np.count_nonzero(cum_rows <= u[:, None], axis=1), vocab_size - 1)
+    below = cum_rows <= u[:, None]
+    return np.where(below[:, -1], vocab_size - 1, below.argmin(axis=1))
 
 
-# Tokens one ``_sample_batch`` call may emit: ~106 B each in flight (tracemalloc, with EOS rarely
-# drawn), so ~0.9 GB at the limit; 2**18 rollouts of the default max_len 24 are 2**18 x 24 = 6.3M.
+# Tokens one ``_sample_batch`` call may emit: ~98 B each in flight at max_len 24 and ~89 B at 200
+# (tracemalloc, EOS never drawn; the block draw's ``(_PCG_BLOCK, rows)`` temporaries are ~3 B of
+# the 98), so ~0.8 GB at the limit; 2**18 rollouts of the default max_len 24 are 2**18 x 24 = 6.3M.
 MAX_SAMPLED_TOKENS = 2**23
 
 
@@ -688,8 +722,14 @@ def _sample_batch(policy: ToyPolicy, ent_rows: np.ndarray, streams: np.ndarray,
     the row is alive, so its rollout does not depend on the other rows.
     The streams are PCG64 states held as arrays (from ``_spawned_streams``
     or ``_seed_streams``), and each equals, draw for draw, the
-    ``default_rng`` it stands for; a dead row's stream is dropped with its
-    state.  Memory grows with the tokens emitted, not with
+    ``default_rng`` it stands for.  Every ``_PCG_BLOCK`` positions one
+    ``_pcg_block`` call draws the next uniforms of every live row at once;
+    position ``pos`` reads row ``pos % _PCG_BLOCK`` of them at each live
+    row's column, and the rows alive at the next block continue from the
+    block's last state, so a dead row's stream is dropped with its state and
+    its unread draws.  Each position records the live rows' states and
+    tokens; their snapshot log-probs and entropies are gathered once, after
+    the last position.  Memory grows with the tokens emitted, not with
     ``max_len``, and more than ``MAX_SAMPLED_TOKENS`` of them raise ``ValueError``.
     """
     _check_int("max_len", max_len, 1)
@@ -698,31 +738,33 @@ def _sample_batch(policy: ToyPolicy, ent_rows: np.ndarray, streams: np.ndarray,
     logp_table, cum_table = logp_table.reshape(-1, vocab), cum_table.reshape(-1, vocab)
     ent_table = ent_table.reshape(-1)
     rows, base = np.arange(len(ent_rows)), vocab * ent_rows
-    states = base + BOS
-    emitted, n_emitted = [], 0  # per position: (rows alive, their tokens, log-probs, entropies)
-    for _ in range(max_len):
+    states, cols = base + BOS, rows  # cols: each live row's column of the block's uniforms
+    emitted, n_emitted = [], 0  # per position: (rows alive, their states, their tokens)
+    for pos in range(max_len):
         n_emitted += rows.size
         if n_emitted > MAX_SAMPLED_TOKENS:
             raise ValueError(f"{len(ent_rows):,} rollouts of max_len {max_len:,} emitted more than "
                              f"MAX_SAMPLED_TOKENS = {MAX_SAMPLED_TOKENS:,} tokens")
-        u, streams = _pcg_uniforms(streams)
-        toks = _next_tokens(np.take(cum_table, states, axis=0), u, vocab)
-        emitted.append((rows, toks, logp_table[states, toks], ent_table[states]))
+        if pos % _PCG_BLOCK == 0:
+            block, streams = _pcg_block(streams[:, cols], min(_PCG_BLOCK, max_len - pos))
+            cols = np.arange(rows.size)
+        toks = _next_tokens(np.take(cum_table, states, axis=0), block[pos % _PCG_BLOCK, cols], vocab)
+        emitted.append((rows, states, toks))
         alive = toks != EOS
         if not alive.all():
-            rows, base, toks, streams = rows[alive], base[alive], toks[alive], streams[:, alive]
+            rows, base, toks, cols = rows[alive], base[alive], toks[alive], cols[alive]
             if rows.size == 0:
                 break
         states = base + toks
 
-    row_of, toks_at, logps_at, ents_at = (np.concatenate(part) for part in zip(*emitted))
+    row_of, states_at, toks_at = (np.concatenate(part) for part in zip(*emitted))
     # Emitted position by position; a stable sort by row keeps each row's positions in order.
     order = np.argsort(row_of, kind="stable")
-    token_ids = toks_at[order]
+    states_at, token_ids = states_at[order], toks_at[order]
     offsets = np.concatenate(([0], np.cumsum(np.bincount(row_of, minlength=len(ent_rows)))))
     toks, bounds = token_ids.tolist(), offsets.tolist()
     return _RolloutBatch(ent_rows, [tuple(toks[a:b]) for a, b in zip(bounds, bounds[1:])],
-                         token_ids, logps_at[order], ents_at[order], offsets,
+                         token_ids, logp_table[states_at, token_ids], ent_table[states_at], offsets,
                          token_ids[offsets[1:] - 1] != EOS)
 
 
@@ -766,8 +808,8 @@ def toy_reward_config() -> RewardConfig:
     return RewardConfig(length_unit="tokens")
 
 
-# Samples per entity in one ``measure_pass_at_k`` call: ~2.3 KB each in flight when every
-# row runs to the default max_len of 24 (tracemalloc), so ~600 MB at the limit.
+# Samples per entity in one ``measure_pass_at_k`` call: ~2.4 KB each in flight when every
+# row runs to the default max_len of 24 (tracemalloc), so ~630 MB at the limit.
 MAX_EVAL_SAMPLES = 2**18
 
 # The most (entity, tokens) pairs one ``train`` or ``measure_pass_at_k`` call keeps, ~1.6 MB of 24-token
@@ -792,21 +834,25 @@ class _Scores(dict):
         flat = np.insert(batch.token_ids, batch.offsets[:-1], batch.rows).astype(self.dtype).tobytes()
         bounds = ((batch.offsets + np.arange(len(batch.offsets))) * self.dtype.itemsize).tolist()
         keys = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
-        out, lex, rows = list(map(self.get, keys)), self.lexicon, batch.rows.tolist()
-        for i in [i for i, score in enumerate(out) if score is None]:
-            # An earlier miss of this batch may have scored the same pair.
-            if (score := self.get(keys[i])) is None:
-                row = rows[i]
-                breakdown, seg = score_response(render_response(lex, batch.tokens[i], self.config),
-                                                lex.golds[row], self.ref_lengths[row], self.config, self.ablation)
-                trans_len = _measured_length(seg.trans, "tokens")
-                # Within one config and ablation the gate and match bits fix the reward.
-                score = self.distinct.setdefault(
-                    (breakdown.fmt_gate, breakdown.len_gate, breakdown.match, trans_len), (breakdown, trans_len))
-                if len(self) >= SCORE_CACHE_SIZE:
-                    self.clear()
-                self[keys[i]] = score
-            out[i] = score
+        out = list(map(self.get, keys))
+        misses, missing = [i for i, score in enumerate(out) if score is None], {}
+        for i in misses:
+            missing.setdefault(keys[i], i)  # each missing key's first row, then its score
+        lex, config, ablation, distinct = self.lexicon, self.config, self.ablation, self.distinct
+        rows, tokens, golds, ref_lengths = batch.rows.tolist(), batch.tokens, lex.golds, self.ref_lengths
+        for key, i in missing.items():
+            row = rows[i]
+            breakdown, seg = score_response(render_response(lex, tokens[i], config), golds[row],
+                                            ref_lengths[row], config, ablation)
+            trans_len = _measured_length(seg.trans, "tokens")
+            # Within one config and ablation the gate and match bits fix the reward.
+            score = distinct.setdefault(
+                (breakdown.fmt_gate, breakdown.len_gate, breakdown.match, trans_len), (breakdown, trans_len))
+            if len(self) >= SCORE_CACHE_SIZE:
+                self.clear()
+            self[key] = missing[key] = score
+        for i in misses:
+            out[i] = missing[keys[i]]
         return out
 
 
@@ -831,7 +877,7 @@ def measure_pass_at_k(
     """
     data = PassAtKInput(n=n, counts=(0,), ks=tuple(ks))
     if n > MAX_EVAL_SAMPLES:
-        raise ValueError(f"n = {n:,} samples per entity x ~2.3 KB = ~{n * 2.3e-6:,.1f} GB exceeds "
+        raise ValueError(f"n = {n:,} samples per entity x ~2.4 KB = ~{n * 2.4e-6:,.1f} GB exceeds "
                          f"MAX_EVAL_SAMPLES = {MAX_EVAL_SAMPLES:,}")
     _check_int("seed", seed, 0)
     ent_rows = list(map(policy.lexicon.entity_index, entity_ids))
@@ -912,12 +958,6 @@ def _structured_logits(
 PRIOR_SAMPLES, PRIOR_K, PRIOR_PASS_K_FLOOR, PRIOR_ATTEMPTS = 256, 64, 0.70, 10
 
 
-def _check_target_pass1_max(target) -> None:
-    """The prior's pass@1 target is a real number in (0, 1); a boolean is not one."""
-    if isinstance(target, bool) or not isinstance(target, numbers.Real) or not 0.0 < target < 1.0:
-        raise ValueError(f"target_pass1_max must be in (0, 1), got {target!r}")
-
-
 def init_activation_prior(
     lexicon: SyntheticLexicon,
     policy_cfg: PolicyConfig,
@@ -935,7 +975,7 @@ def init_activation_prior(
     stays at or above ``PRIOR_PASS_K_FLOOR``.  Raises with the measured
     rates if the regime is not reached within ``PRIOR_ATTEMPTS``.
     """
-    _check_target_pass1_max(target_pass1_max)
+    _check_real("target_pass1_max", target_pass1_max, (0.0, 1.0))
     _check_int("seed", seed, 0)
     if structure is None:
         structure = PriorStructure()

@@ -207,6 +207,19 @@ class TestConfigHandling:
         assert code == 1
         assert "bad reward config: tau must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("markers, field, shown", [
+        ('{"open": 5}', "open_marker", "5"), ('{"close": ["x"]}', "close_marker", "['x']"),
+        ('{"open": null}', "open_marker", "None"), ('{"close": ""}', "close_marker", "''")])
+    def test_non_string_marker_reported(self, tmp_path, capsys, markers, field, shown):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"reward": {"markers": ' + markers + "}}")
+        inp = tmp_path / "in.jsonl"
+        write_jsonl(inp, [score_record_obj("a", GOOD)])
+        code = main(["score", "--input", str(inp), "--config", str(cfg), "--output", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: bad reward config: {field} must be a non-empty string, got {shown}\n")
+
 
 class TestScoreCommand:
     def test_round_trip_counts_and_summary(self, tmp_path, capsys):

@@ -29,12 +29,14 @@ from entrl import (
     toy_reward_config,
 )
 from entrl.optim import _check_groups, _live_ratios
+import entrl.toytask as toytask
 from entrl.toytask import (
+    _PCG_BLOCK,
     EOS,
     RowGrad,
     ToyPolicy,
     _next_tokens,
-    _pcg_uniforms,
+    _pcg_block,
     _sample_batch,
     _seed_streams,
     _spawned_streams,
@@ -87,13 +89,14 @@ STREAM_CASES = {
 }
 
 
-def draws(streams, count):
-    """``count`` uniforms of each stream, one ``_pcg_uniforms`` call per draw."""
+def draws(streams, count, k=_PCG_BLOCK):
+    """``count`` uniforms of each stream, one ``_pcg_block`` call per ``k`` draws (the last may
+    draw fewer), as one row per stream."""
     u = []
-    for _ in range(count):
-        step, streams = _pcg_uniforms(streams)
-        u.append(step)
-    return np.stack(u, axis=1)
+    for start in range(0, count, k):
+        block, streams = _pcg_block(streams, min(k, count - start))
+        u.append(block)
+    return np.concatenate(u).T
 
 
 class TestStreams:
@@ -110,20 +113,50 @@ class TestStreams:
         assert streams.dtype == np.uint64
         assert streams.tobytes() == np.array(words, np.uint64).T.tobytes()
 
-        # 40 one-draw steps continue one stream.
+        # Blocks of draws continue one stream.
         expected = np.stack([np.random.default_rng(c).random(40) for c in children])
         assert draws(streams, 40).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("k", range(1, _PCG_BLOCK + 1))
+    @pytest.mark.parametrize("case", list(STREAM_CASES), ids=list(STREAM_CASES))
+    def test_block_draws_of_every_size_continue_the_stream(self, case, k):
+        # Every jump-ahead size: 20 draws are whole blocks of k, or end on a shorter one.
+        keys, n = STREAM_CASES[case]
+        children = [c for key in keys for c in np.random.SeedSequence(key).spawn(n)]
+        expected = np.stack([np.random.default_rng(c).random(20) for c in children])
+        assert draws(_spawned_streams(keys, n), 20, k).tobytes() == expected.tobytes()
+        # The advanced streams are numpy's generators after the same draws.
+        streams = _spawned_streams(keys, n)
+        for _ in range(3):
+            _, streams = _pcg_block(streams, k)
+        for i, child in enumerate(children[:50]):
+            bits = np.random.PCG64(child)
+            bits.advance(3 * k)
+            state = bits.state["state"]
+            assert streams[:, i].tolist() == [state["state"] >> 64, state["state"] & MASK64,
+                                              state["inc"] >> 64, state["inc"] & MASK64]
 
     def test_seed_streams_are_numpys_generators(self):
         seeds = [0, 3, 2**40, np.int64(9), (3, 1), np.random.SeedSequence((5, 6))]
         expected = np.stack([np.random.default_rng(s).random(20) for s in seeds])
         assert draws(_seed_streams(seeds), 20).tobytes() == expected.tobytes()
+        assert draws(_seed_streams(seeds), 20, 1).tobytes() == expected.tobytes()
+
+
+# Lengths on both sides of the first three blocks of uniforms, and the long case.
+SAMPLE_LENGTHS = (1, 7, 8, 9, 16, 17, 24, 40)
 
 
 class TestLockstepSampler:
-    @pytest.mark.parametrize("max_len", [1, 7, 40])
-    def test_batch_matches_per_token_loop(self, max_len):
+    @pytest.mark.parametrize("max_len, eos_logit", [
+        *(pytest.param(n, None, id=str(n)) for n in SAMPLE_LENGTHS),
+        *(pytest.param(n, -1.0, id=f"{n}-eos-at-minus-1") for n in SAMPLE_LENGTHS)])
+    def test_batch_matches_per_token_loop(self, max_len, eos_logit):
+        # An EOS logit of -1 among standard normal ones lets most rows run through several blocks.
         policy = random_policy(0)
+        if eos_logit is not None:
+            policy.logits[:, :, EOS] = eos_logit
+            policy.snapshot()
         rows = 120
         ids = [IDS[i % len(IDS)] for i in range(rows)]
         seeds = [np.random.SeedSequence((3, i)) if i % 3 else i for i in range(rows)]
@@ -136,9 +169,14 @@ class TestLockstepSampler:
             assert_same_rollout(ro, sample_rollout_loop(policy, ent, max_len, seed))
         lengths = [len(ro.tokens) for ro in rollouts]
         assert max(lengths) == max_len and any(ro.truncated for ro in rollouts)
+        if max_len >= 16:
+            # Some row ends with an EOS drawn at a block's last position.
+            assert any(not ro.truncated and len(ro.tokens) % _PCG_BLOCK == 0 for ro in rollouts)
         if max_len == 40:
             assert any(8 <= n < 16 for n in lengths) and any(16 <= n < 40 for n in lengths)
             assert any(not ro.truncated for ro in rollouts)
+        if eos_logit is not None and max_len > 2 * _PCG_BLOCK:
+            assert sum(n > 2 * _PCG_BLOCK for n in lengths) > rows // 2
         # The flat arrays are the rows' concatenation, and each row names its entity.
         assert batch.token_ids.tolist() == [t for ro in rollouts for t in ro.tokens]
         assert np.diff(batch.offsets).tolist() == lengths
@@ -154,12 +192,16 @@ class TestLockstepSampler:
 
     def test_token_choice_clamps_to_last_token(self):
         # Rounding can leave a cumulative row's last entry below 1; a
-        # uniform above it picks the last token, as the clamp after
-        # searchsorted did.
+        # uniform at or above it picks the last token, as the clamp after
+        # searchsorted did.  A row that turns NaN counts the entries before
+        # it, as searchsorted does.
         cum = np.array([[0.25, 0.5, 0.75, 0.9999999999],
-                        [0.1, 0.1, 0.6, 0.9999999999]])
-        u = np.array([0.99999999999, 0.1])
-        np.testing.assert_array_equal(_next_tokens(cum, u, 4), [3, 2])
+                        [0.1, 0.1, 0.6, 0.9999999999],
+                        [0.25, 0.5, 0.75, 0.9999999999],
+                        [0.2, 0.5, np.nan, np.nan],
+                        [0.2, 0.5, np.nan, np.nan]])
+        u = np.array([0.99999999999, 0.1, 0.9999999999, 0.6, 0.1])
+        np.testing.assert_array_equal(_next_tokens(cum, u, 4), [3, 2, 3, 2, 0])
         for row, x in zip(cum, u):
             assert min(int(np.searchsorted(row, x, side="right")), 3) == _next_tokens(
                 row[None], np.array([x]), 4)[0]
@@ -212,6 +254,76 @@ class TestSnapshotTables:
         for (ro, ent, seed), (old, _, _) in zip(again, first):
             assert_same_rollout(ro, sample_rollout_loop(fresh, ent, 40, seed))
         assert any(ro.old_logp.tobytes() != old.old_logp.tobytes() for (ro, _, _), (old, _, _) in zip(again, first))
+
+    def test_a_snapshot_rebuilds_only_the_changed_rows(self, monkeypatch):
+        policy = random_policy(8)
+        policy.logits[3, 5, 7] = -0.0
+        policy.snapshot()
+        built = []
+        log_softmax = toytask._log_softmax
+        monkeypatch.setattr(toytask, "_log_softmax", lambda rows: built.append(len(rows)) or log_softmax(rows))
+        everyone = list(range(len(IDS))) * 2
+        self.sample(policy, everyone, 0)
+        assert built == [len(IDS) * 32]
+        # Three rows of entities 1 and 4 move, and the whole-table add of 0.0 turns entity 3's
+        # -0.0 into +0.0: a change of bytes, not of value, which rebuilds its row too.
+        sums = np.random.default_rng(0).normal(0.0, 1.0, size=(3, 32))
+        policy.apply_gradient(RowGrad(np.array([32 + 0, 32 + 9, 4 * 32 + 31]), sums), 1.0)
+        assert not np.signbit(policy.logits[3, 5, 7])
+        policy.snapshot()
+        self.sample(policy, everyone, 1)
+        policy.snapshot()  # nothing changed: nothing to rebuild
+        self.sample(policy, everyone, 2)
+        assert built == [len(IDS) * 32, 4]
+        full = ToyPolicy(LEX, policy.params_old)._old_tables()
+        for tables, expected in zip(policy._old_tables(), full):
+            assert tables.tobytes() == expected.tobytes()
+
+    def test_an_assigned_snapshot_rebuilds_every_row(self):
+        # ``load_policy`` assigns params_old; tables built before describe the old array.
+        policy = random_policy(8)
+        self.sample(policy, [0, 3], 0)
+        policy.params_old = random_policy(9).params_old
+        self.sample(policy, [0, 3], 1)
+        full = ToyPolicy(LEX, policy.params_old)._old_tables()
+        for tables, expected in zip(policy._old_tables(), full):
+            assert tables.tobytes() == expected.tobytes()
+
+
+class TestMemoryBudget:
+    # The budgets behind the ceilings (toytask's comments on MAX_SAMPLED_TOKENS and
+    # MAX_EVAL_SAMPLES), with ~10% to spare: ~98 B per emitted token and ~2.4 KB per
+    # pass@k sample when EOS is never drawn and every row runs to max_len 24.
+    @staticmethod
+    def eos_free_policy() -> ToyPolicy:
+        policy = random_policy(0)
+        policy.logits[:, :, EOS] = -30.0
+        policy.snapshot()
+        policy._old_tables()  # built once, outside the measured peak
+        return policy
+
+    @pytest.mark.parametrize("rows, max_len", [(8192, 24), (512, 200)])
+    def test_peak_per_emitted_token(self, rows, max_len):
+        policy = self.eos_free_policy()
+        streams = _spawned_streams([(1, 2)], rows)
+        tracemalloc.start()
+        try:
+            batch = _sample_batch(policy, np.arange(rows) % len(IDS), streams, max_len)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert int(batch.offsets[-1]) == rows * max_len
+        assert peak / (rows * max_len) < 108, peak / (rows * max_len)
+
+    def test_peak_per_pass_at_k_sample(self):
+        policy = self.eos_free_policy()
+        tracemalloc.start()
+        try:
+            measure_pass_at_k(policy, IDS[:1], n=4096, ks=(1,), seed=0, max_len=24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 4096 < 2650, peak / 4096
 
 
 def update_fixture(seed: int, n_groups: int, group_size: int, zero_adv: bool = False,

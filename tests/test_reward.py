@@ -116,6 +116,10 @@ class TestRewardConfigValidation:
         {"alpha": Decimal("0.2")},
         {"tau": 10**400},
         {"tau": None},
+        {"open_marker": 5},
+        {"close_marker": ["x"]},
+        {"open_marker": b"<t>"},
+        {"close_marker": None},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):

@@ -43,8 +43,8 @@ from entrl.toytask import (
     Entity,
     RowGrad,
     ToyPolicy,
-    _contains_run,
     _RolloutBatch,
+    _run_text,
     _sample_batch,
     _Scores,
     _seed_streams,
@@ -52,6 +52,11 @@ from entrl.toytask import (
 from oracles.rollout_loops import metrics_row_loop
 
 LEX = gen_lexicon(seed=7, n_entities=6, vocab_size=32)
+
+
+def contains_run(hay: tuple[int, ...], needle: tuple[int, ...]) -> bool:
+    """``needle`` occurs as a contiguous run of ``hay``, by slicing."""
+    return any(hay[i:i + len(needle)] == needle for i in range(len(hay) - len(needle) + 1))
 
 
 def small_policy(seed=0):
@@ -78,7 +83,14 @@ class TestGenLexicon:
         for i, a in enumerate(all_aliases):
             for j, b in enumerate(all_aliases):
                 if i != j:
-                    assert not _contains_run(a, b)
+                    assert not contains_run(a, b)
+
+    def test_run_text_is_the_slice_test(self):
+        # The generator tests containment on the aliases' texts; slicing the tuples agrees.
+        runs = [(6,), (16,), (6, 16), (16, 6), (61, 6), (6, 61), (7, 6, 16, 8), (6, 16, 6)]
+        for a in runs:
+            for b in runs:
+                assert (_run_text(b) in _run_text(a)) == contains_run(a, b), (a, b)
 
     def test_alias_lengths_in_range(self):
         lex = gen_lexicon(seed=3, n_entities=4, alias_len_range=(3, 5), vocab_size=48)
@@ -594,7 +606,7 @@ def test_integer_rule_rejects_before_sampling(call, name, low, bad, monkeypatch)
     # One rule and one message for every integer with a lower bound; nothing is sampled first.
     import entrl.toytask as toytask
 
-    monkeypatch.setattr(toytask, "_pcg_uniforms", lambda *a: pytest.fail("sampled before rejecting"))
+    monkeypatch.setattr(toytask, "_pcg_block", lambda *a: pytest.fail("sampled before rejecting"))
     value = low - 1 if bad == "floor" else bad
     with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer >= {low}, got {value!r}")):
         call(value)
