@@ -229,7 +229,7 @@ def cmd_passk(args: argparse.Namespace) -> int:
         raise CliError(f"input {args.input!r} is empty")
     try:
         curve = pass_at_k_curve(PassAtKInput(n=n_seen, counts=tuple(counts), ks=ks))
-    except (ValueError, OverflowError) as exc:  # OverflowError: n beyond float range
+    except ValueError as exc:
         raise CliError(str(exc)) from None
 
     rows = ["k,estimate"] + [f"{k},{est}" for k, est in zip(curve.ks, curve.estimates)]

@@ -34,16 +34,21 @@ def _is_int(value) -> bool:
     return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _check_int(name: str, value, minimum: int) -> None:
-    """Raise ``ValueError`` unless ``value`` is an integer (``_is_int``) of at least ``minimum``."""
-    if not _is_int(value) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+def _check_int(name: str, value, minimum: int, maximum: int | None = None) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer (``_is_int``) in ``[minimum, maximum]``,
+    with no upper end when ``maximum`` is None."""
+    if not _is_int(value) or value < minimum or maximum is not None and value > maximum:
+        ends = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+        raise ValueError(f"{name} must be an integer {ends}, got {value!r}")
 
 
-def _check_real(name: str, value, bounds: tuple[float, float] | None = None) -> float:
-    """``float(value)`` for a real number (numpy's included), so a range check compares the number a
-    caller will use; a boolean, a non-real (a string, say), an integer beyond float range or a
-    number outside the open interval ``bounds`` raises ``ValueError`` naming ``name``."""
+def _check_real(name: str, value, bounds: tuple[float, float] = (-math.inf, math.inf),
+                closed_low: bool = False) -> float:
+    """``float(value)`` for a real number (numpy's included) inside ``bounds``, so a range check
+    compares the number a caller will use.  The interval is open, or closed at its low end when
+    ``closed_low``; the default takes every finite number.  A boolean, a non-real (a string, say),
+    an integer beyond float range or a number outside the interval raises ``ValueError`` naming
+    ``name``."""
     if isinstance(value, bool):
         raise ValueError(f"{name} must be a real number, not a boolean")
     if not isinstance(value, numbers.Real):
@@ -52,13 +57,18 @@ def _check_real(name: str, value, bounds: tuple[float, float] | None = None) -> 
         real = float(value)
     except OverflowError:
         raise ValueError(f"{name} must be finite, got an integer beyond float range") from None
-    if bounds is not None and not bounds[0] < real < bounds[1]:
-        raise ValueError(f"{name} must be in ({bounds[0]:g}, {bounds[1]:g}), got {value}")
+    low, high = bounds
+    if not (low <= real if closed_low else low < real) or not real < high:
+        raise ValueError(f"{name} must be finite and in {'[' if closed_low else '('}{low:g}, {high:g}), "
+                         f"got {value!r}")
     return real
 
 
 # pass_at_k_single multiplies out at most this many factors of its product.
 EXACT_FACTORS = 10_000
+
+# The largest n the estimator takes: its factors are ratios of floats of n - j, exact up to 2**53.
+MAX_N = 2**53
 
 
 def pass_at_k_single(n: int, c: int, k: int) -> float:
@@ -74,7 +84,7 @@ def pass_at_k_single(n: int, c: int, k: int) -> float:
     ``_log_miss`` gives the product's log, within ~1e-12 but not bit for bit.
 
     Args:
-        n: number of samples drawn for the problem, n >= 1.
+        n: number of samples drawn for the problem, 1 <= n <= ``MAX_N``.
         c: number of correct samples, 0 <= c <= n.
         k: the k of pass@k, 1 <= k <= n.
         All three are integers, not booleans.
@@ -84,14 +94,9 @@ def pass_at_k_single(n: int, c: int, k: int) -> float:
         n samples contains a correct one, so the estimator returns exactly
         1.0; when c == 0 it returns exactly 0.0.
     """
-    if not all(map(_is_int, (n, c, k))):
-        raise ValueError(f"n, c and k must be integers, got {(n, c, k)!r}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 0 <= c <= n:
-        raise ValueError(f"c must be in [0, {n}], got {c}")
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
+    _check_int("n", n, 1, MAX_N)
+    _check_int("c", c, 0, n)
+    _check_int("k", k, 1, n)
     if n - c < k:
         return 1.0
     few, many = sorted((k, c))
@@ -129,9 +134,9 @@ def _log_miss(n: int, many: int, few: int) -> float:
 class PassAtKInput:
     """Per-problem correct counts from a fixed sampling budget.
 
-    ``ks`` is stored sorted and deduplicated; every k must be in [1, n] and
-    every count in [0, n].  ``n``, the counts and the ks must be integers,
-    not booleans.
+    ``ks`` is stored sorted and deduplicated; ``n`` must be in [1, ``MAX_N``],
+    every count in [0, n] and every k in [1, n].  ``n``, the counts and the
+    ks must be integers, not booleans.
     """
 
     n: int
@@ -139,22 +144,15 @@ class PassAtKInput:
     ks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", tuple(self.counts))
-        not_ints = [v for v in (self.n, *self.counts, *self.ks) if not _is_int(v)]
-        if not_ints:
-            raise ValueError(f"n, counts and ks must be integers, got {not_ints!r}")
-        object.__setattr__(self, "ks", tuple(sorted(set(self.ks))))
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if not self.counts:
-            raise ValueError("counts must be non-empty")
-        bad = [c for c in self.counts if not 0 <= c <= self.n]
-        if bad:
-            raise ValueError(f"counts outside [0, {self.n}]: {bad!r}")
-        if not self.ks:
-            raise ValueError("ks must be non-empty")
-        if self.ks[0] < 1 or self.ks[-1] > self.n:
-            raise ValueError(f"ks must lie in [1, {self.n}], got {self.ks!r}")
+        counts, ks = tuple(self.counts), tuple(self.ks)
+        _check_int("n", self.n, 1, MAX_N)
+        for name, values, low in (("counts", counts, 0), ("ks", ks, 1)):
+            if not values:
+                raise ValueError(f"{name} must be non-empty")
+            for value in values:
+                _check_int(f"every entry of {name}", value, low, self.n)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "ks", tuple(sorted(set(ks))))
 
 
 @dataclass(frozen=True)
@@ -189,6 +187,10 @@ def entity_accuracy(breakdowns: Iterable[RewardBreakdown]) -> float:
     return 100.0 * sum(1 for b in rows if b.match) / len(rows)
 
 
+# chrf's largest beta, exclusive: past ~1.3e153 the 100 * (1 + beta**2) of its F-score overflows.
+MAX_BETA = 1e150
+
+
 def _ngram_counts(text: str, n: int) -> Counter:
     return Counter(text[i : i + n] for i in range(len(text) - n + 1))
 
@@ -197,6 +199,7 @@ def chrf(hypothesis: str, reference: str, max_n: int = 6, beta: float = 2.0) -> 
     """Character n-gram F-score in [0, 100].
 
     Whitespace is removed from both strings before n-grams are extracted.
+    ``max_n`` is an integer >= 1 and ``beta`` a real number in (0, ``MAX_BETA``).
     For each order n in [1, max_n], precision and recall come from clipped
     n-gram overlap counts; an order where both sides have no n-grams is
     skipped, while an order where only one side has n-grams contributes
@@ -208,10 +211,8 @@ def chrf(hypothesis: str, reference: str, max_n: int = 6, beta: float = 2.0) -> 
     with F = 0 when the denominator is zero.  Two empty strings are
     identical, which scores 100 by convention.
     """
-    if max_n < 1:
-        raise ValueError(f"max_n must be >= 1, got {max_n}")
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    _check_int("max_n", max_n, 1)
+    beta = _check_real("beta", beta, (0.0, MAX_BETA))
 
     hyp = "".join(hypothesis.split())
     ref = "".join(reference.split())
@@ -220,7 +221,8 @@ def chrf(hypothesis: str, reference: str, max_n: int = 6, beta: float = 2.0) -> 
 
     precisions: list[float] = []
     recalls: list[float] = []
-    for n in range(1, max_n + 1):
+    # Orders past the longer string have no n-grams on either side, so they are never run.
+    for n in range(1, min(max_n, max(len(hyp), len(ref))) + 1):
         hyp_counts = _ngram_counts(hyp, n)
         ref_counts = _ngram_counts(ref, n)
         hyp_total = sum(hyp_counts.values())

@@ -89,16 +89,12 @@ class OptimConfig:
             _check_int(name, getattr(self, name), minimum)
         for name in ("eps_low", "eps_high"):
             _check_real(name, getattr(self, name), (0.0, 1.0))
-        learning_rate = _check_real("learning_rate", self.learning_rate)
-        std_floor = _check_real("std_floor", self.std_floor)
-        if not 0.0 <= learning_rate < np.inf:
-            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        _check_real("learning_rate", self.learning_rate, (0.0, np.inf), closed_low=True)
+        _check_real("std_floor", self.std_floor, (0.0, np.inf))
         if (n := self.group_size * self.mini_batch_size * self.updates_per_batch) > MAX_ROLLOUTS_PER_STEP:
             raise ValueError(f"group_size x mini_batch_size x updates_per_batch = {self.group_size} x "
                              f"{self.mini_batch_size} x {self.updates_per_batch} = {n:,} rollouts per step "
                              f"exceeds MAX_ROLLOUTS_PER_STEP = {MAX_ROLLOUTS_PER_STEP:,}")
-        if not 0.0 < std_floor < np.inf:
-            raise ValueError(f"std_floor must be finite and positive, got {self.std_floor}")
 
 
 @dataclass(frozen=True)

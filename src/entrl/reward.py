@@ -45,9 +45,7 @@ class RewardConfig:
     close_marker: str = "</think>"
 
     def __post_init__(self) -> None:
-        alpha, tau = _check_real("alpha", self.alpha, (0.0, 1.0)), _check_real("tau", self.tau)
-        if not 0.0 < tau < math.inf:
-            raise ValueError(f"tau must be finite and positive, got {self.tau}")
+        alpha, tau = _check_real("alpha", self.alpha, (0.0, 1.0)), _check_real("tau", self.tau, (0.0, math.inf))
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "tau", tau)
         if self.length_unit not in ("characters", "tokens"):

@@ -45,6 +45,7 @@ __all__ = [
     "SyntheticLexicon",
     "gen_lexicon",
     "PolicyConfig",
+    "PriorStructure",
     "ToyPolicy",
     "Rollout",
     "RolloutScore",
@@ -261,12 +262,10 @@ def gen_lexicon(
                                  ("aliases_per_entity", aliases_per_entity, 1),
                                  ("vocab_size", vocab_size, FILLER + 2)):
         _check_int(name, value, minimum)
-    lo, hi = alias_len_range
-    if not (_is_int(lo) and _is_int(hi) and 1 <= lo <= hi):
-        raise ValueError(f"bad alias_len_range {alias_len_range!r}")
-    pad_lo, pad_hi = ref_pad_range
-    if not (_is_int(pad_lo) and _is_int(pad_hi) and 0 <= pad_lo <= pad_hi):
-        raise ValueError(f"bad ref_pad_range {ref_pad_range!r}")
+    (lo, hi), (pad_lo, pad_hi) = alias_len_range, ref_pad_range
+    for name, low, high, minimum in (("alias_len_range", lo, hi, 1), ("ref_pad_range", pad_lo, pad_hi, 0)):
+        _check_int(f"{name}[0]", low, minimum)
+        _check_int(f"{name}[1]", high, low)
     fraction = _check_real("train_fraction", train_fraction, (0.0, 1.0))
     pool = np.arange(FILLER + 1, vocab_size)
     if len(pool) < aliases_per_entity * hi:
@@ -319,12 +318,6 @@ def gen_lexicon(
     )
 
 
-def _check_temperature(temperature) -> None:
-    """A sampling temperature is a real number (``_check_real``) whose ``float`` is finite and above 0."""
-    if not 0.0 < _check_real("temperature", temperature) < np.inf:
-        raise ValueError(f"temperature must be finite and > 0, got {temperature!r}")
-
-
 @dataclass(frozen=True)
 class PolicyConfig:
     """The toy policy's sampling temperature and longest response; every toy-task
@@ -334,7 +327,7 @@ class PolicyConfig:
     max_len: int = 24
 
     def __post_init__(self) -> None:
-        _check_temperature(self.temperature)
+        _check_real("temperature", self.temperature, (0.0, np.inf))
         _check_int("max_len", self.max_len, 1)
 
 
@@ -394,7 +387,7 @@ def _spawned_streams(keys, n: int) -> np.ndarray:
     inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
     state_lo = inc_lo + seed_lo
     state_hi = inc_hi + seed_hi + (state_lo < seed_lo)
-    return np.stack([*_pcg_step(state_hi, state_lo, inc_hi, inc_lo), inc_hi, inc_lo])
+    return _pcg_block(np.stack([state_hi, state_lo, inc_hi, inc_lo]), 1)[1]
 
 
 def _seed_streams(seeds) -> np.ndarray:
@@ -413,14 +406,6 @@ def _mulhi64(x, c):
     p01, p10 = x0 * c1, x1 * c0
     mid = (x0 * c0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
     return x1 * c1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-
-
-def _pcg_step(state_hi, state_lo, inc_hi, inc_lo) -> tuple[np.ndarray, np.ndarray]:
-    """One PCG64 LCG step, ``state * mult + inc`` modulo 2**128, on hi/lo uint64 arrays."""
-    lo = state_lo * _PCG_MULT_LO + inc_lo
-    hi = (_mulhi64(state_lo, _PCG_MULT_LO) + state_lo * _PCG_MULT_HI + state_hi * _PCG_MULT_LO
-          + inc_hi + (lo < inc_lo))
-    return hi, lo
 
 
 # The most uniforms one ``_pcg_block`` call draws per stream, and its jump-ahead constants as high
@@ -533,10 +518,9 @@ class ToyPolicy:
         logits = np.ascontiguousarray(logits, dtype=float)
         if logits.shape != expected:
             raise ValueError(f"logits shape {logits.shape} != {expected}")
-        _check_temperature(temperature)
         self.lexicon = lexicon
         self.logits = logits
-        self.temperature = float(temperature)
+        self.temperature = _check_real("temperature", temperature, (0.0, np.inf))
         self.params_old = logits.copy()
         self.snapshot_version = 0
         self._old_tables_cache: tuple | None = None
@@ -913,9 +897,7 @@ class PriorStructure:
 
     def __post_init__(self) -> None:
         for name in ("chain_strength", "distractor_eos", "alias_end_eos"):
-            if not np.isfinite(value := _check_real(name, getattr(self, name))):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _check_real(name, getattr(self, name)))
 
 
 def _structured_logits(
@@ -1156,11 +1138,10 @@ def load_policy(path: str | Path, lexicon: SyntheticLexicon) -> ToyPolicy:
         # identifies the table's row/column meaning.
         if str(data["lexicon_digest"]) != _lexicon_digest(lexicon):
             raise ValueError("policy file does not match this lexicon")
-        temperature, version = data["temperature"], data["snapshot_version"]
+        temperature, version = data["temperature"], data["snapshot_version"][()]  # a 0-d array's scalar
         if temperature.ndim or temperature.dtype.kind not in "fiu":
             raise ValueError(f"policy file temperature must be a real scalar, got {temperature!r}")
-        if version.ndim or version.dtype.kind not in "iu" or version < 0:
-            raise ValueError(f"policy file snapshot_version must be an integer >= 0, got {version!r}")
+        _check_int("policy file snapshot_version", version, 0)
         policy = ToyPolicy(lexicon, data["logits"], float(temperature))
         params_old = np.asarray(data["params_old"], dtype=float)
         if params_old.shape != policy.logits.shape:

@@ -673,7 +673,7 @@ class TestTrainCommand:
         cfg.write_text('{"train": {"temperature": NaN}}')
         code = main(["train", "--config", str(cfg), "--lexicon", str(task / "lexicon.json"), "--out", str(tmp_path / "o")])
         assert code == 1
-        assert "temperature must be finite and > 0" in capsys.readouterr().err
+        assert "temperature must be finite and in (0, inf), got nan" in capsys.readouterr().err
 
     def test_end_to_end_artifacts(self, tmp_path, capsys):
         task = tmp_path / "task"

@@ -1,4 +1,5 @@
-"""Every config constructor rejects what it cannot honour with ``ValueError``.
+"""Every config constructor, and every numeric parameter of the estimators, rejects what it
+cannot honour with ``ValueError``.
 
 The values are the ones a JSON config can hold (booleans, strings, null,
 lists, objects, signed zeros, -1, integers past int64 and past float range,
@@ -10,14 +11,21 @@ yet typed.
 """
 
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entrl import OptimConfig, PolicyConfig, PriorStructure, RewardConfig
-from entrl.cli import CliError, reward_config_from
+from entrl import (OptimConfig, PassAtKInput, PolicyConfig, PriorStructure, RewardConfig, chrf,
+                   pass_at_k_curve)
+from entrl.cli import CONFIG_ENV_VAR, CliError, reward_config_from
 
 VALUES = (
     True, False, "", "x", "0.5", "<t>", "tokens", None, [], ["x"], [0.5], {}, {"open": "<a>"},
@@ -62,3 +70,72 @@ def test_reward_config_from_reports_every_bad_value(section):
         assert isinstance(reward_config_from({"reward": section}), RewardConfig)
     except CliError as exc:
         assert str(exc).startswith(("bad reward config: ", "reward.markers must be an object")), exc
+
+
+# The real command in a child process, with the prior patched to fail: a bad value must be
+# reported before --out is created or the prior is built.
+_TRAIN = ("import sys, entrl.toytask as toytask; from entrl.cli import main; "
+          "toytask.init_activation_prior = lambda *a, **k: sys.exit('prior built'); "
+          "sys.exit(main(sys.argv[1:]))")
+
+
+@pytest.mark.parametrize("section, key, value", [("reward", "tau", 10**400), ("optim", "learning_rate", math.nan),
+                                                 ("train", "temperature", -math.inf)])
+def test_train_command_reports_a_bad_value_in_each_section(tmp_path, section, key, value):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg.write_text(json.dumps({section: {key: value}}))
+    env = {k: v for k, v in os.environ.items() if k != CONFIG_ENV_VAR}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(Path(__file__).resolve().parents[1] / "src"),
+                                                      env.get("PYTHONPATH"))))
+    child = subprocess.run([sys.executable, "-c", _TRAIN, "train", "--config", str(cfg), "--lexicon",
+                            str(tmp_path / "lexicon.json"), "--out", str(out)],
+                           env=env, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 1, child.stderr
+    assert child.stderr.startswith(f"error: bad {section} config: {key} must be "), child.stderr
+    assert child.stdout == "" and not out.exists()
+
+
+def settled(call):
+    """``call()``, or None if it raised ``ValueError``; either way within a second."""
+    t0 = time.perf_counter()
+    try:
+        return call()
+    except ValueError:
+        return None
+    finally:
+        assert time.perf_counter() - t0 < 1.0
+
+
+def check_pass_at_k(n=2, counts=(1,), ks=(1,)) -> None:
+    curve = settled(lambda: pass_at_k_curve(PassAtKInput(n, counts, ks)))
+    assert curve is None or all(0.0 <= e <= 1.0 for e in curve.estimates)
+
+
+def check_chrf(**params) -> None:
+    score = settled(lambda: chrf("abc", "abd", **params))
+    assert score is None or 0.0 <= score <= 100.0, params
+
+
+def test_estimator_parameters_alone():
+    for value in VALUES:
+        check_pass_at_k(n=value)
+        check_pass_at_k(counts=(value,))
+        check_pass_at_k(ks=(value,))
+        check_chrf(max_n=value)
+        check_chrf(beta=value)
+
+
+# Small integers as well, so that combinations pass the checks and reach the estimators.
+_NUMBER = st.sampled_from(VALUES + (1, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=_NUMBER, counts=st.lists(_NUMBER, max_size=3), ks=st.lists(_NUMBER, max_size=3))
+def test_pass_at_k_fields_together(n, counts, ks):
+    check_pass_at_k(n, tuple(counts), tuple(ks))
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=st.fixed_dictionaries({}, optional={"max_n": _NUMBER, "beta": _NUMBER}))
+def test_chrf_parameters_together(params):
+    check_chrf(**params)

@@ -3,6 +3,7 @@ against hand-derived rational values, entity accuracy arithmetic."""
 
 import math
 import random
+import re
 import time
 
 import numpy as np
@@ -19,7 +20,7 @@ from entrl import (
     pass_at_k_curve,
     pass_at_k_single,
 )
-from entrl.evalkit import EXACT_FACTORS
+from entrl.evalkit import EXACT_FACTORS, MAX_BETA, MAX_N
 from oracles.passk_enum import pass_at_k_exhaustive
 
 
@@ -112,6 +113,13 @@ class TestPassAtKSingle:
         with pytest.raises(ValueError):
             pass_at_k_single(n, c, k)
 
+    def test_n_up_to_max_n_only(self):
+        # float(n - j) is exact up to MAX_N; past float range it would raise OverflowError.
+        assert pass_at_k_single(MAX_N, 1, 1) == 2.0**-53
+        for n in (MAX_N + 1, 10**400):
+            with pytest.raises(ValueError, match=re.escape(f"n must be an integer in [1, {MAX_N}], got {n}")):
+                pass_at_k_single(n, 1, 1)
+
     @given(st.integers(1, 40).flatmap(
         lambda n: st.tuples(st.just(n), st.integers(0, n), st.integers(1, n))
     ))
@@ -168,6 +176,10 @@ class TestPassAtKCurve:
     def test_rejects_bad_input(self, kwargs):
         with pytest.raises(ValueError):
             PassAtKInput(**kwargs)
+
+    def test_n_beyond_max_n_rejected_before_the_curve(self):
+        with pytest.raises(ValueError, match=re.escape(f"n must be an integer in [1, {MAX_N}]")):
+            pass_at_k_curve(PassAtKInput(n=10**400, counts=(1,), ks=(1,)))
 
     def test_curve_type(self):
         assert isinstance(pass_at_k_curve(PassAtKInput(2, (1,), (1,))), PassAtKCurve)
@@ -230,6 +242,28 @@ class TestChrf:
             chrf("a", "b", max_n=0)
         with pytest.raises(ValueError):
             chrf("a", "b", beta=0.0)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, MAX_BETA, 1e308, True, "2"])
+    def test_rejects_beta_outside_the_finite_range(self, beta):
+        # NaN and inf scored NaN, and a beta past MAX_BETA overflows the F-score.
+        with pytest.raises(ValueError, match="^beta must be "):
+            chrf("abc", "abd", beta=beta)
+
+    @pytest.mark.parametrize("max_n", [2.5, True, 3.0, "3"])
+    def test_rejects_non_integer_max_n(self, max_n):
+        with pytest.raises(ValueError, match=re.escape(f"max_n must be an integer >= 1, got {max_n!r}")):
+            chrf("abc", "abd", max_n=max_n)
+
+    def test_large_beta_scores_recall(self):
+        # F tends to 100 * recall as beta grows; the 1-, 2- and 3-gram recalls are 2/3, 1/2 and 0.
+        assert chrf("abc", "abd", beta=1e149) == pytest.approx(100 * (2 / 3 + 1 / 2 + 0) / 3, rel=1e-12)
+
+    @pytest.mark.parametrize("max_n", [10**6, 2**63, 10**400])
+    def test_orders_past_the_longer_string_are_not_run(self, max_n):
+        # A loop over every order took 4.4 s at 10**6 and never ended at 2**63.
+        t0 = time.perf_counter()
+        assert chrf("abc", "abd  c", max_n=max_n) == chrf("abc", "abd  c", max_n=4)
+        assert time.perf_counter() - t0 < 0.05
 
     @given(st.text(max_size=30), st.text(max_size=30))
     @settings(max_examples=300)

@@ -4,6 +4,7 @@
 commands run without numpy, the toy task or the optimizer.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -55,6 +56,12 @@ def test_name_is_its_defining_modules_object(module, name):
     exec(f"from entrl import {name}", namespace)
     home = sys.modules[f"entrl.{module}"]
     assert namespace[name] is getattr(home, name)
+
+
+@pytest.mark.parametrize("module", sorted(entrl._EXPORTS))
+def test_module_all_holds_the_names_the_package_exports_from_it(module):
+    home = importlib.import_module(f"entrl.{module}")
+    assert set(entrl._EXPORTS[module]) <= set(home.__all__)
 
 
 def test_submodule_resolves_after_a_bare_import(monkeypatch):

@@ -581,6 +581,11 @@ def _int_rule_cases():
                        id=f"gen_lexicon.{name}")
           for name, low in (("seed", 0), ("n_entities", 2), ("aliases_per_entity", 1),
                             ("vocab_size", FILLER + 2))),
+        *(pytest.param(lambda v, name=name, high=high: gen_lexicon(**{**lexicon, name: (v, high)}),
+                       f"{name}[0]", low, id=f"gen_lexicon.{name}[0]")
+          for name, low, high in (("alias_len_range", 1, 4), ("ref_pad_range", 0, 2))),
+        pytest.param(lambda v: gen_lexicon(**{**lexicon, "alias_len_range": (3, v)}),
+                     "alias_len_range[1]", 3, id="gen_lexicon.alias_len_range[1]"),
         pytest.param(lambda v: SyntheticLexicon.from_dict(edited_lexicon_doc(("vocab_size",), v)),
                      "vocab_size", FILLER + 2, id="SyntheticLexicon.vocab_size"),
         pytest.param(lambda v: PolicyConfig(max_len=v), "max_len", 1, id="PolicyConfig.max_len"),
@@ -606,7 +611,7 @@ def test_integer_rule_rejects_before_sampling(call, name, low, bad, monkeypatch)
     # One rule and one message for every integer with a lower bound; nothing is sampled first.
     import entrl.toytask as toytask
 
-    monkeypatch.setattr(toytask, "_pcg_block", lambda *a: pytest.fail("sampled before rejecting"))
+    monkeypatch.setattr(toytask, "_next_tokens", lambda *a: pytest.fail("sampled before rejecting"))
     value = low - 1 if bad == "floor" else bad
     with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer >= {low}, got {value!r}")):
         call(value)
@@ -644,7 +649,7 @@ class TestPolicyConfig:
             PolicyConfig(temperature=True)
         with pytest.raises(ValueError, match="^temperature must be finite, got an integer beyond float range$"):
             PolicyConfig(temperature=10**400)
-        with pytest.raises(ValueError, match="^temperature must be finite and > 0, got 0$"):
+        with pytest.raises(ValueError, match=r"^temperature must be finite and in \(0, inf\), got 0$"):
             PolicyConfig(temperature=0)
 
     def test_edge_values_allowed(self):
