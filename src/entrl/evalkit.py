@@ -144,15 +144,19 @@ class PassAtKInput:
     ks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        counts, ks = tuple(self.counts), tuple(self.ks)
         _check_int("n", self.n, 1, MAX_N)
-        for name, values, low in (("counts", counts, 0), ("ks", ks, 1)):
+        for name, low in (("counts", 0), ("ks", 1)):
+            values = getattr(self, name)
+            try:
+                values = tuple(values)
+            except TypeError:
+                raise ValueError(f"{name} must be a sequence of integers, got {values!r}") from None
             if not values:
                 raise ValueError(f"{name} must be non-empty")
             for value in values:
                 _check_int(f"every entry of {name}", value, low, self.n)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "ks", tuple(sorted(set(ks))))
+            object.__setattr__(self, name, values)
+        object.__setattr__(self, "ks", tuple(sorted(set(self.ks))))
 
 
 @dataclass(frozen=True)

@@ -62,8 +62,12 @@ __all__ = [
 ]
 
 
-# Rollouts (group_size x mini_batch_size x updates_per_batch) per step: ~2.4 KB each in flight.
-MAX_ROLLOUTS_PER_STEP = 2**18
+# Rollouts in one sampled batch: a train step's group_size x mini_batch_size x updates_per_batch, or
+# measure_pass_at_k's n per entity, at ~2.4 KB each in flight (tracemalloc, default max_len of 24).
+MAX_BATCH_ROLLOUTS = 2**18
+
+# A group whose reward std is below this gets all-zero advantages.
+STD_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -82,7 +86,6 @@ class OptimConfig:
     learning_rate: float = 0.05
     mini_batch_size: int = 8
     updates_per_batch: int = 4
-    std_floor: float = 1e-6
 
     def __post_init__(self) -> None:
         for name, minimum in (("group_size", 2), ("mini_batch_size", 1), ("updates_per_batch", 1)):
@@ -90,11 +93,10 @@ class OptimConfig:
         for name in ("eps_low", "eps_high"):
             _check_real(name, getattr(self, name), (0.0, 1.0))
         _check_real("learning_rate", self.learning_rate, (0.0, np.inf), closed_low=True)
-        _check_real("std_floor", self.std_floor, (0.0, np.inf))
-        if (n := self.group_size * self.mini_batch_size * self.updates_per_batch) > MAX_ROLLOUTS_PER_STEP:
+        if (n := self.group_size * self.mini_batch_size * self.updates_per_batch) > MAX_BATCH_ROLLOUTS:
             raise ValueError(f"group_size x mini_batch_size x updates_per_batch = {self.group_size} x "
                              f"{self.mini_batch_size} x {self.updates_per_batch} = {n:,} rollouts per step "
-                             f"exceeds MAX_ROLLOUTS_PER_STEP = {MAX_ROLLOUTS_PER_STEP:,}")
+                             f"exceeds MAX_BATCH_ROLLOUTS = {MAX_BATCH_ROLLOUTS:,}")
 
 
 @dataclass(frozen=True)
@@ -119,11 +121,11 @@ class RolloutGroup:
     snapshot_version: int
 
 
-def group_advantages(rewards, std_floor: float = 1e-6) -> np.ndarray:
+def group_advantages(rewards) -> np.ndarray:
     """Normalize a group's rewards to zero mean and unit population std.
 
     Uses the population standard deviation (divide by G).  A degenerate
-    group, std below ``std_floor``, yields all-zero advantages: identical
+    group, std below ``STD_FLOOR``, yields all-zero advantages: identical
     rewards carry no preference signal and are skipped rather than amplified.
     A 2-d array holds one group of equal size per row, and each row gets the
     bytes of its own 1-d call.
@@ -136,7 +138,7 @@ def group_advantages(rewards, std_floor: float = 1e-6) -> np.ndarray:
     dev = r - r.mean(axis=-1, keepdims=True)
     # np.std's own arithmetic, reusing the deviations.
     std = np.sqrt(np.add.reduce(dev * dev, axis=-1, keepdims=True) / r.shape[-1])
-    return np.divide(dev, std, out=np.zeros_like(r), where=~(std < std_floor))
+    return np.divide(dev, std, out=np.zeros_like(r), where=~(std < STD_FLOOR))
 
 
 def seq_importance_ratio(new_logp, old_logp):
@@ -187,7 +189,7 @@ def _segments(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
 
 
-def _check_groups(policy, groups: list[RolloutGroup], config: OptimConfig) -> _Batch:
+def _check_groups(policy, groups: list[RolloutGroup]) -> _Batch:
     """Validate every group and member, then flatten them with each group's advantages.
 
     The policy's ``token_states`` checks the token ids.
@@ -229,7 +231,7 @@ def _check_groups(policy, groups: list[RolloutGroup], config: OptimConfig) -> _B
     advantages = np.empty(len(members))
     for size in sorted(set(group_sizes.tolist())):  # one call for equal-size groups
         idx = group_starts[:-1][group_sizes == size, None] + np.arange(size)
-        advantages[idx] = group_advantages(rewards[idx], config.std_floor)
+        advantages[idx] = group_advantages(rewards[idx])
     return _Batch(
         states=states, tokens=tokens, old_logp=old_logp,
         starts=np.cumsum(lengths) - lengths, lengths=lengths, advantages=advantages,
@@ -296,22 +298,17 @@ def surrogate_objective(policy, groups: list[RolloutGroup], config: OptimConfig)
     parameters all ratios are 1 and the objective is exactly the mean
     advantage, i.e. 0 for full groups.
     """
-    batch = _check_groups(policy, groups, config)
+    batch = _check_groups(policy, groups)
     ratios = _live_ratios(policy, batch, np.arange(len(batch.lengths)))[0]
     terms = clipped_term(ratios, batch.advantages, config.eps_low, config.eps_high)
     group_sums = np.add.reduceat(terms, batch.group_starts[:-1])
     return float(np.mean(group_sums / np.diff(batch.group_starts)))
 
 
-def policy_update_step(
-    policy,
-    groups: list[RolloutGroup],
-    config: OptimConfig,
-    rng: np.random.Generator | None = None,
-) -> None:
+def policy_update_step(policy, groups: list[RolloutGroup], config: OptimConfig, rng: np.random.Generator) -> None:
     """Run one outer optimization step over a batch of groups.
 
-    The groups are shuffled and split into ``config.updates_per_batch``
+    The groups are shuffled by ``rng`` and split into ``config.updates_per_batch``
     mini-batches; each mini-batch takes one gradient-ascent step on the
     clipped surrogate.  The gradient of an unclipped-active term is
 
@@ -324,10 +321,7 @@ def policy_update_step(
     Only the policy's live parameters change.  Raises if any group was
     sampled under a different policy snapshot.
     """
-    batch = _check_groups(policy, groups, config)
-    if rng is None:
-        rng = np.random.default_rng(0)
-
+    batch = _check_groups(policy, groups)
     order = rng.permutation(len(groups))
     for chunk in np.array_split(order, config.updates_per_batch):
         if chunk.size == 0:

@@ -64,9 +64,9 @@ class GoldEntitySet:
     """Acceptable surface forms for one entity.
 
     ``normalized_aliases`` is derived at construction time and is the only
-    view the matcher consults.  Construction fails if no aliases are given
-    or if any alias normalizes to the empty string, since an empty alias
-    would match every candidate.  Aliases of at most ``ALIAS_MEMO_CHARS``
+    view the matcher consults.  Construction fails if ``aliases`` is a bare
+    string or empty, or if any alias normalizes to the empty string, since an
+    empty alias would match every candidate.  Aliases of at most ``ALIAS_MEMO_CHARS``
     characters are normalized through the module's memo.
     """
 
@@ -75,6 +75,8 @@ class GoldEntitySet:
     normalized_aliases: tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
+        if isinstance(self.aliases, str):
+            raise ValueError(f"entity {self.entity_id!r}: aliases must be a sequence of strings, not a str")
         object.__setattr__(self, "aliases", tuple(self.aliases))
         if not self.aliases:
             raise ValueError(f"entity {self.entity_id!r}: empty alias list")

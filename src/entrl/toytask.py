@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .evalkit import PassAtKCurve, PassAtKInput, _check_int, _check_real, _is_int, pass_at_k_curve
-from .optim import GroupMember, OptimConfig, RolloutGroup, _row_sums, policy_update_step
+from .optim import MAX_BATCH_ROLLOUTS, GroupMember, OptimConfig, RolloutGroup, _row_sums, policy_update_step
 from .reward import RewardBreakdown, RewardConfig, _check_ablation, _measured_length, score_response
 from .textnorm import GoldEntitySet
 
@@ -792,10 +792,6 @@ def toy_reward_config() -> RewardConfig:
     return RewardConfig(length_unit="tokens")
 
 
-# Samples per entity in one ``measure_pass_at_k`` call: ~2.4 KB each in flight when every
-# row runs to the default max_len of 24 (tracemalloc), so ~630 MB at the limit.
-MAX_EVAL_SAMPLES = 2**18
-
 # The most (entity, tokens) pairs one ``train`` or ``measure_pass_at_k`` call keeps, ~1.6 MB of 24-token
 # byte keys (8,192 tuple keys took ~2.5 MB); a full cache is emptied before the next pair.
 SCORE_CACHE_SIZE = 16384
@@ -819,24 +815,25 @@ class _Scores(dict):
         bounds = ((batch.offsets + np.arange(len(batch.offsets))) * self.dtype.itemsize).tolist()
         keys = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
         out = list(map(self.get, keys))
-        misses, missing = [i for i, score in enumerate(out) if score is None], {}
-        for i in misses:
-            missing.setdefault(keys[i], i)  # each missing key's first row, then its score
         lex, config, ablation, distinct = self.lexicon, self.config, self.ablation, self.distinct
         rows, tokens, golds, ref_lengths = batch.rows.tolist(), batch.tokens, lex.golds, self.ref_lengths
-        for key, i in missing.items():
-            row = rows[i]
-            breakdown, seg = score_response(render_response(lex, tokens[i], config), golds[row],
-                                            ref_lengths[row], config, ablation)
-            trans_len = _measured_length(seg.trans, "tokens")
-            # Within one config and ablation the gate and match bits fix the reward.
-            score = distinct.setdefault(
-                (breakdown.fmt_gate, breakdown.len_gate, breakdown.match, trans_len), (breakdown, trans_len))
-            if len(self) >= SCORE_CACHE_SIZE:
-                self.clear()
-            self[key] = missing[key] = score
-        for i in misses:
-            out[i] = missing[keys[i]]
+        scored = {}  # this batch's misses, each scored once, in first-seen order
+        for i, key in enumerate(keys):
+            if out[i] is not None:
+                continue
+            score = scored.get(key)
+            if score is None:
+                row = rows[i]
+                breakdown, seg = score_response(render_response(lex, tokens[i], config), golds[row],
+                                                ref_lengths[row], config, ablation)
+                trans_len = _measured_length(seg.trans, "tokens")
+                # Within one config and ablation the gate and match bits fix the reward.
+                score = distinct.setdefault(
+                    (breakdown.fmt_gate, breakdown.len_gate, breakdown.match, trans_len), (breakdown, trans_len))
+                if len(self) >= SCORE_CACHE_SIZE:
+                    self.clear()
+                self[key] = scored[key] = score
+            out[i] = score
         return out
 
 
@@ -853,16 +850,16 @@ def measure_pass_at_k(
     unbiased estimator.  A sample counts as correct when its parsed
     translation segment matches a gold alias; gates do not apply.
     Each entity's ``n`` samples are drawn as one lockstep batch, after ``n`` and
-    ``ks`` pass ``PassAtKInput``'s checks and ``n`` is at most ``MAX_EVAL_SAMPLES``.
+    ``ks`` pass ``PassAtKInput``'s checks and ``n`` is at most ``optim.MAX_BATCH_ROLLOUTS``.
     Each distinct (entity, tokens) pair is scored once per call, with up to
     ``SCORE_CACHE_SIZE`` pairs held.
 
     Returns the curve and the per-entity correct counts.
     """
-    data = PassAtKInput(n=n, counts=(0,), ks=tuple(ks))
-    if n > MAX_EVAL_SAMPLES:
+    data = PassAtKInput(n=n, counts=(0,), ks=ks)
+    if n > MAX_BATCH_ROLLOUTS:
         raise ValueError(f"n = {n:,} samples per entity x ~2.4 KB = ~{n * 2.4e-6:,.1f} GB exceeds "
-                         f"MAX_EVAL_SAMPLES = {MAX_EVAL_SAMPLES:,}")
+                         f"MAX_BATCH_ROLLOUTS = {MAX_BATCH_ROLLOUTS:,}")
     _check_int("seed", seed, 0)
     ent_rows = list(map(policy.lexicon.entity_index, entity_ids))
     if not ent_rows:

@@ -96,7 +96,6 @@ def analytic_gradient(policy, groups, config: OptimConfig) -> np.ndarray:
         learning_rate=1.0,
         mini_batch_size=len(groups),
         updates_per_batch=1,
-        std_floor=config.std_floor,
     )
     before = policy.logits.copy()
     policy_update_step(policy, groups, single_pass, rng=np.random.default_rng(0))

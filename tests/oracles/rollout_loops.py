@@ -69,7 +69,7 @@ def _ratio_and_term(policy, grp, member, adv: float, eps_low: float, eps_high: f
 
 def policy_update_loop(policy, groups, config, rng) -> None:
     """The clipped update, one member and one ``np.add.at`` at a time."""
-    advantages = [group_advantages([m.reward for m in g.members], config.std_floor) for g in groups]
+    advantages = [group_advantages([m.reward for m in g.members]) for g in groups]
     order = rng.permutation(len(groups))
     for chunk in np.array_split(order, config.updates_per_batch):
         if chunk.size == 0:
@@ -92,7 +92,7 @@ def surrogate_loop(policy, groups, config) -> float:
     """Mean over groups of the per-group mean clipped term, summed in order."""
     total = 0.0
     for grp in groups:
-        adv = group_advantages([m.reward for m in grp.members], config.std_floor)
+        adv = group_advantages([m.reward for m in grp.members])
         acc = sum(_ratio_and_term(policy, grp, m, float(a), config.eps_low, config.eps_high)[1]
                   for m, a in zip(grp.members, adv))
         total += acc / len(grp.members)

@@ -101,6 +101,14 @@ class TestConfigHandling:
         assert code == 1
         assert "unknown reward config key(s): allpha" in capsys.readouterr().err
 
+    def test_std_floor_is_not_a_setting(self, tmp_path, capsys):
+        # The advantage floor is the constant optim.STD_FLOOR.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"optim": {"std_floor": 1e-6}}')
+        args = ["train", "--config", str(cfg), "--lexicon", str(tmp_path / "none.json"), "--out", str(tmp_path / "o")]
+        assert main(args) == 1
+        assert "unknown optim config key(s): std_floor" in capsys.readouterr().err
+
     def test_config_must_be_object(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1]")
@@ -160,16 +168,16 @@ class TestConfigHandling:
         # Each config is rejected before the lexicon is read, and its error
         # shows which of the two files was used.
         env_cfg = tmp_path / "env.json"
-        env_cfg.write_text('{"optim": {"std_floor": true}}')
+        env_cfg.write_text('{"optim": {"learning_rate": true}}')
         monkeypatch.setenv(CONFIG_ENV_VAR, str(env_cfg))
         args = ["train", "--lexicon", str(tmp_path / "none.json"), "--out", str(tmp_path / "o")]
         assert main(args) == 1
-        assert "std_floor must be a real number, not a boolean" in capsys.readouterr().err
+        assert "learning_rate must be a real number, not a boolean" in capsys.readouterr().err
         flag_cfg = tmp_path / "flag.json"
         flag_cfg.write_text('{"optim": {"G": 2.5}}')
         assert main(args + ["--config", str(flag_cfg)]) == 1
         err = capsys.readouterr().err
-        assert "group_size must be an integer" in err and "std_floor" not in err
+        assert "group_size must be an integer" in err and "learning_rate" not in err
 
     def test_optim_alias_clash(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -662,7 +670,7 @@ class TestTrainCommand:
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         out, err = child.communicate(timeout=120)
         assert child.returncode == 1, err
-        limit = "MAX_POLICY_CELLS" if case == "vocab_size" else "MAX_ROLLOUTS_PER_STEP"
+        limit = "MAX_POLICY_CELLS" if case == "vocab_size" else "MAX_BATCH_ROLLOUTS"
         assert err.decode().startswith("error: ") and limit in err.decode()
         assert b"Traceback" not in err and out == b""
 

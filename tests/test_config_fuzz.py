@@ -123,6 +123,9 @@ def test_estimator_parameters_alone():
         check_pass_at_k(ks=(value,))
         check_chrf(max_n=value)
         check_chrf(beta=value)
+    for whole in (None, 3, "x", "1"):  # counts and ks as a whole, not a sequence of entries
+        check_pass_at_k(counts=whole)
+        check_pass_at_k(ks=whole)
 
 
 # Small integers as well, so that combinations pass the checks and reach the estimators.

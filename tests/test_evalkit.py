@@ -177,6 +177,16 @@ class TestPassAtKCurve:
         with pytest.raises(ValueError):
             PassAtKInput(**kwargs)
 
+    @pytest.mark.parametrize("field, kwargs", [
+        ("counts", {"counts": None, "ks": (1,)}),
+        ("counts", {"counts": 1, "ks": (1,)}),
+        ("ks", {"counts": (1,), "ks": 5}),
+        ("ks", {"counts": (1,), "ks": None}),
+    ])
+    def test_non_iterable_counts_or_ks_rejected_by_name(self, field, kwargs):
+        with pytest.raises(ValueError, match=f"^{field} must be a sequence of integers, got "):
+            PassAtKInput(n=4, **kwargs)
+
     def test_n_beyond_max_n_rejected_before_the_curve(self):
         with pytest.raises(ValueError, match=re.escape(f"n must be an integer in [1, {MAX_N}]")):
             pass_at_k_curve(PassAtKInput(n=10**400, counts=(1,), ks=(1,)))

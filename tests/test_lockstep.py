@@ -291,8 +291,8 @@ class TestSnapshotTables:
 
 
 class TestMemoryBudget:
-    # The budgets behind the ceilings (toytask's comments on MAX_SAMPLED_TOKENS and
-    # MAX_EVAL_SAMPLES), with ~10% to spare: ~98 B per emitted token and ~2.4 KB per
+    # The budgets behind the ceilings (the comments on toytask.MAX_SAMPLED_TOKENS and
+    # optim.MAX_BATCH_ROLLOUTS), with ~10% to spare: ~98 B per emitted token and ~2.4 KB per
     # pass@k sample when EOS is never drawn and every row runs to max_len 24.
     @staticmethod
     def eos_free_policy() -> ToyPolicy:
@@ -534,7 +534,7 @@ class TestArrayUpdate:
         groups = [RolloutGroup(g.prompt_id, [
             GroupMember(m.tokens, m.old_logp - rng.uniform(0.0, 2.0, len(m.tokens)), m.reward)
             for m in g.members], g.snapshot_version) for g in groups]
-        batch = _check_groups(policy, groups, OptimConfig(group_size=4))
+        batch = _check_groups(policy, groups)
         ratios = _live_ratios(policy, batch, np.arange(len(batch.lengths)))[0]
         expected = [
             float(np.exp(np.mean(token_logps_loop(policy, g.prompt_id, m.tokens) - m.old_logp)))

@@ -1,6 +1,9 @@
 """Group-normalized advantages, sequence ratios, clipped surrogate, and
 the update step's gradient against finite differences."""
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +19,7 @@ from entrl import (
     seq_importance_ratio,
     surrogate_objective,
 )
-from entrl.optim import MAX_ROLLOUTS_PER_STEP, _row_sums
+from entrl.optim import MAX_BATCH_ROLLOUTS, STD_FLOOR, _row_sums
 from oracles.fd_grad import (
     analytic_gradient,
     assert_clip_margins,
@@ -44,9 +47,9 @@ class TestGroupAdvantages:
         np.testing.assert_array_equal(group_advantages([0.0, 0.0]), np.zeros(2))
 
     def test_std_floor_respected(self):
-        rewards = [1.0, 1.0 + 1e-9]
-        assert np.all(group_advantages(rewards) == 0.0)
-        assert np.any(group_advantages(rewards, std_floor=1e-12) != 0.0)
+        assert STD_FLOOR == 1e-6
+        assert np.all(group_advantages([1.0, 1.0 + 1e-9]) == 0.0)
+        assert np.all(group_advantages([1.0, 1.0 + 1e-5]) != 0.0)
 
     def test_normalized_moments(self):
         rng = np.random.default_rng(3)
@@ -84,25 +87,24 @@ class TestGroupAdvantages:
                st.lists(st.floats(-1.0, 1.0), min_size=g, max_size=g),
                st.lists(st.sampled_from([0.0, 0.2, 1.2]), min_size=g, max_size=g),
                st.floats(-1.0, 1.0).map(lambda v: [v] * g))),
-           st.floats(1.0, 10.0), st.integers(-8, 8), st.sampled_from([1e-6, 1e-12]))
+           st.floats(1.0, 10.0), st.integers(-8, 8))
     @settings(max_examples=500, deadline=None)
-    def test_is_numpys_mean_and_std_byte_for_byte(self, rewards, mantissa, exponent, std_floor):
+    def test_is_numpys_mean_and_std_byte_for_byte(self, rewards, mantissa, exponent):
         r = np.asarray(rewards) * (mantissa * 10.0**exponent)
         std = r.std()
-        expected = np.zeros_like(r) if std < std_floor else (r - r.mean()) / std
-        assert group_advantages(r, std_floor).tobytes() == expected.tobytes()
+        expected = np.zeros_like(r) if std < STD_FLOOR else (r - r.mean()) / std
+        assert group_advantages(r).tobytes() == expected.tobytes()
 
     @given(st.integers(2, 40).flatmap(lambda g: st.lists(st.one_of(
                st.lists(st.floats(-1.0, 1.0), min_size=g, max_size=g),
                st.lists(st.sampled_from([0.0, 0.2, 1.2]), min_size=g, max_size=g),
-               st.floats(-1.0, 1.0).map(lambda v: [v] * g)), min_size=1, max_size=6)),
-           st.sampled_from([1e-6, 1e-12]))
+               st.floats(-1.0, 1.0).map(lambda v: [v] * g)), min_size=1, max_size=6)))
     @settings(max_examples=300, deadline=None)
-    def test_each_row_of_a_2d_call_is_its_own_1d_call(self, groups, std_floor):
-        got = group_advantages(np.array(groups), std_floor)
+    def test_each_row_of_a_2d_call_is_its_own_1d_call(self, groups):
+        got = group_advantages(np.array(groups))
         assert got.shape == (len(groups), len(groups[0]))
         for row, rewards in zip(got, groups):
-            assert row.tobytes() == group_advantages(rewards, std_floor).tobytes()
+            assert row.tobytes() == group_advantages(rewards).tobytes()
 
     def test_a_nan_row_stays_nan_as_in_1d(self):
         # A NaN std is not below the floor, so the row is divided, not zeroed.
@@ -123,12 +125,12 @@ class TestGroupAdvantages:
         expected = [group_advantages([m.reward for m in g.members]) for g in groups]
         calls = []
 
-        def counted(rewards, std_floor=1e-6):
+        def counted(rewards):
             calls.append(np.shape(rewards))
-            return group_advantages(rewards, std_floor)
+            return group_advantages(rewards)
 
         monkeypatch.setattr(optim, "group_advantages", counted)
-        batch = optim._check_groups(policy, groups, OptimConfig(group_size=4))
+        batch = optim._check_groups(policy, groups)
         assert sorted(calls) == [(1, 5), (2, 3), (6, 4)]
         assert batch.advantages.tobytes() == np.concatenate(expected).tobytes()
 
@@ -209,7 +211,7 @@ def _one_member_group(policy, tokens, old_logp, reward=1.0):
 class TestBoundaryValidation:
     # Both public entry points share one check of the groups they receive.
     ENTRY_POINTS = [
-        lambda policy, groups: policy_update_step(policy, groups, OptimConfig()),
+        lambda policy, groups: policy_update_step(policy, groups, OptimConfig(), np.random.default_rng(0)),
         lambda policy, groups: surrogate_objective(policy, groups, OptimConfig()),
     ]
     ENTRY_IDS = ["policy_update_step", "surrogate_objective"]
@@ -284,25 +286,19 @@ class TestOptimConfigValidation:
         {"learning_rate": -0.1},
         {"mini_batch_size": 0},
         {"updates_per_batch": 0},
-        {"std_floor": 0.0},
         {"learning_rate": float("nan")},
         {"learning_rate": float("inf")},
-        {"std_floor": float("nan")},
-        {"std_floor": float("inf")},
         {"group_size": 2.5},
         {"mini_batch_size": 1.5},
         {"updates_per_batch": True},
         {"eps_low": True},
         {"eps_high": True},
         {"learning_rate": True},
-        {"std_floor": True},
         {"eps_low": "0.1"},
         {"eps_high": None},
         {"learning_rate": "0.1"},
-        {"std_floor": "1e-6"},
         {"learning_rate": 10**400},
         {"eps_high": -10**400},
-        {"std_floor": 10**400},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -315,19 +311,26 @@ class TestOptimConfigValidation:
             OptimConfig(learning_rate=10**400)
 
     def test_integer_and_numpy_reals_allowed(self):
-        assert OptimConfig(learning_rate=4, eps_low=np.float64(1e-4), std_floor=np.float32(1e-6))
+        assert OptimConfig(learning_rate=4, eps_low=np.float64(1e-4), eps_high=np.float32(4e-4))
+
+    def test_fields_are_the_papers_hyperparameters(self):
+        # The std floor and the batch ceiling are module constants, not settings.
+        assert [f.name for f in dataclasses.fields(OptimConfig)] == [
+            "group_size", "eps_low", "eps_high", "learning_rate", "mini_batch_size", "updates_per_batch"]
+        with pytest.raises(TypeError):
+            OptimConfig(std_floor=1e-6)
 
     def test_zero_learning_rate_allowed(self):
         assert OptimConfig(learning_rate=0.0).learning_rate == 0.0
 
     def test_rollouts_per_step_limit(self):
-        assert MAX_ROLLOUTS_PER_STEP == 2**18
+        assert MAX_BATCH_ROLLOUTS == 2**18
         assert OptimConfig(group_size=2**14, mini_batch_size=4, updates_per_batch=4)
         with pytest.raises(ValueError, match=r"group_size x mini_batch_size x updates_per_batch = "
                                              r"16385 x 4 x 4 = 262,160 rollouts per step exceeds "
-                                             r"MAX_ROLLOUTS_PER_STEP = 262,144"):
+                                             r"MAX_BATCH_ROLLOUTS = 262,144"):
             OptimConfig(group_size=2**14 + 1, mini_batch_size=4, updates_per_batch=4)
-        with pytest.raises(ValueError, match="MAX_ROLLOUTS_PER_STEP"):
+        with pytest.raises(ValueError, match="MAX_BATCH_ROLLOUTS"):
             OptimConfig(group_size=10**12)
 
 
@@ -386,7 +389,7 @@ class TestPolicyUpdateStep:
             s = seq_importance_ratio(policy.token_logps(ent, member.tokens), member.old_logp)
             assert (s > 1 + CONFIG.eps_high) if adv > 0 else (s < 1 - CONFIG.eps_low)
         before = policy.logits.copy()
-        policy_update_step(policy, [grp], CONFIG)
+        policy_update_step(policy, [grp], CONFIG, np.random.default_rng(0))
         np.testing.assert_array_equal(policy.logits, before)
 
     def test_unfavorable_ratios_keep_their_gradient(self):
@@ -401,7 +404,7 @@ class TestPolicyUpdateStep:
             members.append(GroupMember(member.tokens, old, reward))
         grp = RolloutGroup(ent, members, policy.snapshot_version)
         before = policy.logits.copy()
-        policy_update_step(policy, [grp], CONFIG)
+        policy_update_step(policy, [grp], CONFIG, np.random.default_rng(0))
         assert np.any(policy.logits != before)
 
     def test_rerunning_after_saturation_is_a_no_op(self):
@@ -420,19 +423,24 @@ class TestPolicyUpdateStep:
         config = OptimConfig(
             group_size=2, learning_rate=100.0, mini_batch_size=1, updates_per_batch=1
         )
-        policy_update_step(policy, [grp], config)
+        policy_update_step(policy, [grp], config, np.random.default_rng(0))
         for member, adv in zip(grp.members, (1.0, -1.0)):
             s = seq_importance_ratio(policy.token_logps(ent, member.tokens), member.old_logp)
             assert (s > 1 + config.eps_high) if adv > 0 else (s < 1 - config.eps_low)
         before = policy.logits.copy()
-        policy_update_step(policy, [grp], config)
+        policy_update_step(policy, [grp], config, np.random.default_rng(0))
         np.testing.assert_array_equal(policy.logits, before)
 
     def test_zero_learning_rate_is_a_no_op(self):
         policy, groups = build_fixture(seed=2)
         before = policy.logits.copy()
-        policy_update_step(policy, groups, OptimConfig(group_size=4, learning_rate=0.0))
+        policy_update_step(policy, groups, OptimConfig(group_size=4, learning_rate=0.0),
+                           np.random.default_rng(0))
         np.testing.assert_array_equal(policy.logits, before)
+
+    def test_generator_is_required(self):
+        # The mini-batch shuffle is never seeded behind the caller's back.
+        assert inspect.signature(policy_update_step).parameters["rng"].default is inspect.Parameter.empty
 
     def test_deterministic_given_rng(self):
         results = []
@@ -450,25 +458,23 @@ class TestPolicyUpdateStep:
         policy, groups = build_fixture(seed=0)
         policy.snapshot()
         with pytest.raises(ValueError, match="stale"):
-            policy_update_step(policy, groups, CONFIG)
+            policy_update_step(policy, groups, CONFIG, np.random.default_rng(0))
 
-    def test_advantages_use_config_std_floor(self):
+    def test_advantages_use_std_floor(self):
         # The update normalizes each group's rewards itself: a spread below
-        # the configured floor carries no signal, one above it does.
+        # STD_FLOOR carries no signal, one above it does.
         policy, groups = build_fixture(seed=0)
         ent = groups[0].prompt_id
-        members = [
-            GroupMember(m.tokens, policy.token_logps(ent, m.tokens), reward)
-            for m, reward in zip(groups[0].members[:2], (1.0, 1.0 + 1e-9))
-        ]
-        grp = RolloutGroup(ent, members, policy.snapshot_version)
+        config = OptimConfig(group_size=2, learning_rate=1.0)
         before = policy.logits.copy()
-        policy_update_step(policy, [grp], OptimConfig(group_size=2, learning_rate=1.0))
-        np.testing.assert_array_equal(policy.logits, before)
-        policy_update_step(
-            policy, [grp], OptimConfig(group_size=2, learning_rate=1.0, std_floor=1e-12)
-        )
-        assert np.any(policy.logits != before)
+        for spread, moves in ((1e-9, False), (1e-5, True)):
+            members = [
+                GroupMember(m.tokens, policy.token_logps(ent, m.tokens), reward)
+                for m, reward in zip(groups[0].members[:2], (1.0, 1.0 + spread))
+            ]
+            grp = RolloutGroup(ent, members, policy.snapshot_version)
+            policy_update_step(policy, [grp], config, np.random.default_rng(0))
+            assert np.any(policy.logits != before) == moves
 
     def test_moves_only_live_parameters(self):
         # The update returns nothing and leaves its inputs as they were:
@@ -478,7 +484,7 @@ class TestPolicyUpdateStep:
         params_old = policy.params_old.copy()
         before = policy.logits.copy()
         result = policy_update_step(
-            policy, groups, OptimConfig(group_size=4, learning_rate=2.0)
+            policy, groups, OptimConfig(group_size=4, learning_rate=2.0), np.random.default_rng(0)
         )
         assert result is None
         assert np.any(policy.logits != before)

@@ -428,7 +428,8 @@ class TestRewardService:
     @pytest.fixture()
     def service(self):
         server = RewardService(("127.0.0.1", 0), CFG)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        # A short poll, so that shutdown() in teardown returns within 0.05 s.
+        thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
         thread.start()
         yield server
         server.shutdown()

@@ -92,6 +92,12 @@ class TestGoldEntitySet:
         gold = GoldEntitySet("e0", ["A", "B"])
         assert gold.aliases == ("A", "B")
 
+    @pytest.mark.parametrize("aliases", ["Munich", ""])
+    def test_rejects_a_bare_string(self, aliases):
+        # Its characters would each become an alias: "Munich" would match any text with an "M".
+        with pytest.raises(ValueError, match="^entity 'e0': aliases must be a sequence of strings, not a str$"):
+            GoldEntitySet("e0", aliases)
+
     def test_rejects_empty_alias_list(self):
         with pytest.raises(ValueError, match="empty alias list"):
             GoldEntitySet("e0", ())

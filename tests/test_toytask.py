@@ -26,13 +26,12 @@ from entrl import (
     toy_reward_config,
     train,
 )
-from entrl.optim import MAX_ROLLOUTS_PER_STEP
+from entrl.optim import MAX_BATCH_ROLLOUTS
 from entrl.reward import ABLATIONS, score_response
 from entrl.toytask import (
     BOS,
     EOS,
     FILLER,
-    MAX_EVAL_SAMPLES,
     MAX_SAMPLED_TOKENS,
     PRIOR_ATTEMPTS,
     PRIOR_K,
@@ -509,6 +508,8 @@ class TestMeasurePassAtK:
         {"ks": ()},
         {"ks": (1.5,)},
         {"ks": (True,)},
+        {"ks": 3},
+        {"ks": None},
     ])
     def test_rejects_bad_values(self, kwargs, monkeypatch):
         # Rejected before any rollout is sampled.
@@ -522,7 +523,7 @@ class TestMeasurePassAtK:
         with pytest.raises(ValueError):
             measure_pass_at_k(small_policy(), **args)
 
-    @pytest.mark.parametrize("n", [MAX_EVAL_SAMPLES + 1, 10**12])
+    @pytest.mark.parametrize("n", [MAX_BATCH_ROLLOUTS + 1, 10**12])
     def test_n_above_the_sample_limit_rejected_before_allocating(self, n, monkeypatch):
         import entrl.toytask as toytask
 
@@ -531,7 +532,7 @@ class TestMeasurePassAtK:
 
         monkeypatch.setattr(toytask, "_spawned_streams", no_streams)
         monkeypatch.setattr(toytask, "_sample_batch", no_streams)
-        with pytest.raises(ValueError, match=f"n = {n:,} samples .* exceeds MAX_EVAL_SAMPLES = 262,144"):
+        with pytest.raises(ValueError, match=f"n = {n:,} samples .* exceeds MAX_BATCH_ROLLOUTS = 262,144"):
             measure_pass_at_k(small_policy(), LEX.train_ids[:1], n=n, ks=(1,), seed=0)
 
     def test_memory_grows_with_tokens_emitted_not_max_len(self):
@@ -552,7 +553,7 @@ class TestMeasurePassAtK:
 
     def test_sampled_tokens_above_the_ceiling_rejected(self, monkeypatch):
         # The ceiling holds every rollout of the largest batch at the default max_len.
-        assert MAX_SAMPLED_TOKENS >= max(MAX_EVAL_SAMPLES, MAX_ROLLOUTS_PER_STEP) * PolicyConfig.max_len
+        assert MAX_SAMPLED_TOKENS >= MAX_BATCH_ROLLOUTS * PolicyConfig.max_len
         import entrl.toytask as toytask
 
         monkeypatch.setattr(toytask, "MAX_SAMPLED_TOKENS", 1000)
