@@ -144,13 +144,20 @@ def length_gate(trans: str, ref_lengths: list[int], config: RewardConfig) -> int
     """Return 1 if the translation is at most tau times the mean reference length.
 
     The bound is inclusive.  Length is characters of the trimmed translation
-    or whitespace-delimited tokens, per ``config.length_unit``.
+    or whitespace-delimited tokens, per ``config.length_unit``.  Reference
+    lengths whose mean is not a finite float (a NaN, an infinity, or ints
+    too large for a float) raise ``ValueError``.
     """
     if not ref_lengths:
         raise ValueError("ref_lengths must be non-empty")
     if min(ref_lengths) <= 0:
         raise ValueError(f"ref_lengths must be positive, got {ref_lengths!r}")
-    mean_ref = sum(ref_lengths) / len(ref_lengths)
+    try:
+        mean_ref = sum(ref_lengths) / len(ref_lengths)
+    except OverflowError:
+        mean_ref = math.inf
+    if not math.isfinite(mean_ref):
+        raise ValueError("ref_lengths must have a finite mean")
     return int(_measured_length(trans, config.length_unit) <= config.tau * mean_ref)
 
 

@@ -776,15 +776,30 @@ def sample_rollout(policy: ToyPolicy, entity_id: str, max_len: int, seed) -> Rol
     return _sample_batch(policy, ent_rows, _seed_streams([seed]), max_len).rollout(0, entity_id)
 
 
+def _marked_texts(lexicon: SyntheticLexicon, config: RewardConfig) -> list[str]:
+    """The lexicon's ``token_texts`` table of ``token_text`` with ``config``'s think markers and
+    ``<src>`` in place of their tokens' texts: the table ``_render`` reads."""
+    texts = list(lexicon.token_texts)
+    texts[THINK_OPEN], texts[THINK_CLOSE], texts[SRC_MARK] = config.open_marker, config.close_marker, "<src>"
+    return texts
+
+
+def _render(texts: list[str], tokens) -> str:
+    """``tokens``, ids in range, as ``texts`` entries joined by spaces; BOS and EOS, the two
+    lowest ids, are dropped."""
+    return " ".join([texts[t] for t in tokens if t > EOS])
+
+
 def render_response(lexicon: SyntheticLexicon, tokens: tuple[int, ...], config: RewardConfig) -> str:
     """Render a token sequence to the text form the reward pipeline scores,
     with ``config``'s think markers and the lexicon's ``token_texts`` table
-    of ``token_text``; a token id outside the vocabulary raises ``ValueError``."""
+    of ``token_text``; a token id outside the vocabulary raises ``ValueError``.
+    Each call builds the marked table; ``_Scores`` builds it once and renders its
+    sampled, in-range tokens through the same ``_render``."""
     texts = lexicon.token_texts
     if tokens and not 0 <= min(tokens) <= max(tokens) < len(texts):
         raise ValueError(f"token ids must be in [0, {len(texts)})")
-    marks = {THINK_OPEN: config.open_marker, THINK_CLOSE: config.close_marker, SRC_MARK: "<src>"}
-    return " ".join([marks.get(t) or texts[t] for t in tokens if t != BOS and t != EOS])
+    return _render(_marked_texts(lexicon, config), tokens)
 
 
 def toy_reward_config() -> RewardConfig:
@@ -801,11 +816,13 @@ class _Scores(dict):
     """``(breakdown, trans_len)`` of each (entity, tokens) pair under one reward config and
     ablation, from ``score_response`` on first lookup: the reward is a pure function of the pair.
     Its key is the entity row, then the tokens, as bytes of one unsigned type that holds every id,
-    so distinct pairs never share a key.  Equal scores are held as one object."""
+    so distinct pairs never share a key.  Equal scores are held as one object.  A miss renders
+    through the marked token table, built once here."""
 
     def __init__(self, lexicon: SyntheticLexicon, config: RewardConfig, ablation: str = "full"):
         super().__init__()
-        self.lexicon, self.config, self.ablation, self.distinct = lexicon, config, ablation, {}
+        self.config, self.ablation, self.distinct = config, ablation, {}
+        self.texts, self.golds = _marked_texts(lexicon, config), lexicon.golds
         self.dtype = np.min_scalar_type(max(lexicon.vocab_size, len(lexicon.entities)) - 1)
         self.ref_lengths = [e.ref_lengths for e in lexicon.entities]
 
@@ -815,8 +832,8 @@ class _Scores(dict):
         bounds = ((batch.offsets + np.arange(len(batch.offsets))) * self.dtype.itemsize).tolist()
         keys = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
         out = list(map(self.get, keys))
-        lex, config, ablation, distinct = self.lexicon, self.config, self.ablation, self.distinct
-        rows, tokens, golds, ref_lengths = batch.rows.tolist(), batch.tokens, lex.golds, self.ref_lengths
+        texts, config, ablation, distinct = self.texts, self.config, self.ablation, self.distinct
+        rows, tokens, golds, ref_lengths = batch.rows.tolist(), batch.tokens, self.golds, self.ref_lengths
         scored = {}  # this batch's misses, each scored once, in first-seen order
         for i, key in enumerate(keys):
             if out[i] is not None:
@@ -824,7 +841,7 @@ class _Scores(dict):
             score = scored.get(key)
             if score is None:
                 row = rows[i]
-                breakdown, seg = score_response(render_response(lex, tokens[i], config), golds[row],
+                breakdown, seg = score_response(_render(texts, tokens[i]), golds[row],
                                                 ref_lengths[row], config, ablation)
                 trans_len = _measured_length(seg.trans, "tokens")
                 # Within one config and ablation the gate and match bits fix the reward.
@@ -835,6 +852,12 @@ class _Scores(dict):
                 self[key] = scored[key] = score
             out[i] = score
         return out
+
+
+# Rollouts one ``measure_pass_at_k`` batch holds: 4 entities of the prior's n = 256 share each position's
+# numpy calls, while the peak RSS of 3 set-ups, 240 train steps and an n = 512 eval stays at 42.9-43.0 MB
+# (42.7 MB at one entity a batch, 43.6-43.8 MB at 2,048 rows).
+PASS_AT_K_BATCH_ROWS = 1024
 
 
 def measure_pass_at_k(
@@ -849,8 +872,11 @@ def measure_pass_at_k(
     """Monte Carlo pass@k over entities: n fresh samples each, then the
     unbiased estimator.  A sample counts as correct when its parsed
     translation segment matches a gold alias; gates do not apply.
-    Each entity's ``n`` samples are drawn as one lockstep batch, after ``n`` and
-    ``ks`` pass ``PassAtKInput``'s checks and ``n`` is at most ``optim.MAX_BATCH_ROLLOUTS``.
+    Whole entities, ``n`` samples each, are drawn together in lockstep batches of up to
+    ``PASS_AT_K_BATCH_ROWS`` rollouts (one entity per batch when ``n`` is larger), after ``n``
+    and ``ks`` pass ``PassAtKInput``'s checks and ``n`` is at most ``optim.MAX_BATCH_ROLLOUTS``.
+    Entity ``i`` of ``entity_ids`` samples from the streams of ``(seed, _STREAM_EVAL, i)``
+    wherever its batch starts, so the counts do not depend on the batching.
     Each distinct (entity, tokens) pair is scored once per call, with up to
     ``SCORE_CACHE_SIZE`` pairs held.
 
@@ -867,12 +893,13 @@ def measure_pass_at_k(
     if config is None:
         config = toy_reward_config()
     counts, scores = [], _Scores(policy.lexicon, config)
-    for e_idx, row in enumerate(ent_rows):
-        # One batch per entity: one batch for all gives the same counts, but raised
-        # the train benchmark's peak_rss_mb from 45.1-45.2 to 59.5-59.6 MB (4 of 4 runs).
-        streams = _spawned_streams([(seed, _STREAM_EVAL, e_idx)], n)
-        scored = scores.lookup(_sample_batch(policy, np.full(n, row), streams, max_len))
-        counts.append(sum(breakdown.match for breakdown, _ in scored))
+    per_batch = max(1, PASS_AT_K_BATCH_ROWS // n)
+    for start in range(0, len(ent_rows), per_batch):
+        rows = ent_rows[start:start + per_batch]
+        keys = [(seed, _STREAM_EVAL, e_idx) for e_idx in range(start, start + len(rows))]
+        batch = _sample_batch(policy, np.repeat(rows, n), _spawned_streams(keys, n), max_len)
+        matches = [breakdown.match for breakdown, _ in scores.lookup(batch)]
+        counts += (sum(matches[i:i + n]) for i in range(0, len(matches), n))
     curve = pass_at_k_curve(replace(data, counts=tuple(counts)))
     return curve, tuple(counts)
 

@@ -21,10 +21,17 @@ corpus = load_perfbench("corpus")
 
 
 # The score_batch and serve workloads' record shapes: (tag, think_max, max_aliases).
-@pytest.fixture(scope="module", params=[("b", 1000, 8), ("s", 40, 3)], ids=["batch", "serve"])
+SHAPES = {"batch": ("b", 1000, 8), "serve": ("s", 40, 3)}
+# The benchmark's own run seeds, 1 and 2, and one it does not run.
+SEEDS = (1, 2, 5)
+
+
+@pytest.fixture(scope="module", params=[(shape, seed) for seed in SEEDS for shape in SHAPES],
+                ids=lambda param: f"{param[0]}-seed{param[1]}")
 def corp(request):
-    tag, think_max, max_aliases = request.param
-    return corpus.build(5, LINES, think_max, max_aliases, tag=tag)
+    shape, seed = request.param
+    tag, think_max, max_aliases = SHAPES[shape]
+    return corpus.build(seed, LINES, think_max, max_aliases, tag=tag)
 
 
 def _replies(data: bytes) -> list:

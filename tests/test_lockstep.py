@@ -206,11 +206,14 @@ class TestLockstepSampler:
             assert min(int(np.searchsorted(row, x, side="right")), 3) == _next_tokens(
                 row[None], np.array([x]), 4)[0]
 
-    def test_pass_at_k_counts_match_the_loop(self):
-        policy = random_policy(2)
+    def test_pass_at_k_counts_match_the_loop(self, monkeypatch):
+        # Structured prior logits with weak alias starts, so that some samples match and some
+        # do not; under random logits every count is 0.
+        noise = np.random.default_rng(2).normal(0.0, 1.0, size=(len(IDS), 32, 32))
+        policy = ToyPolicy(LEX, toytask._structured_logits(LEX, dict.fromkeys(IDS, 1.0), noise,
+                                                           toytask.PriorStructure()))
         cfg = toy_reward_config()
-        ids = IDS[:3]
-        _, counts = measure_pass_at_k(policy, ids, n=40, ks=(1,), seed=5, max_len=12)
+        ids = [*IDS[:3], IDS[1]]  # the repeated id samples from its own place's streams
         expected = []
         for e_idx, ent in enumerate(ids):
             children = np.random.SeedSequence((5, 6, e_idx)).spawn(40)
@@ -219,7 +222,22 @@ class TestLockstepSampler:
                 score_response(render_response(LEX, toks, cfg), LEX.gold(ent),
                                LEX.ref_lengths(ent), cfg)[0].match
                 for toks in rollouts))
-        assert counts == tuple(expected)
+        # Every entity has a match, and the repeated id's count differs from its first place's.
+        assert min(expected) > 0 and expected[3] != expected[1]
+        sample, sizes = toytask._sample_batch, []
+
+        def counted(pol, rows, *rest):
+            sizes.append(len(rows))
+            return sample(pol, rows, *rest)
+
+        monkeypatch.setattr(toytask, "_sample_batch", counted)
+        # Batch budgets: the default (all four entities at once), one below n (one entity a
+        # batch), and three entities' rows (a batch of three, then a partial batch of one).
+        for budget, batches in ((toytask.PASS_AT_K_BATCH_ROWS, [160]), (39, [40] * 4), (120, [120, 40])):
+            monkeypatch.setattr(toytask, "PASS_AT_K_BATCH_ROWS", budget)
+            sizes.clear()
+            _, counts = measure_pass_at_k(policy, ids, n=40, ks=(1,), seed=5, max_len=12)
+            assert counts == tuple(expected) and sizes == batches, budget
 
 
 class TestSnapshotTables:

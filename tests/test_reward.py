@@ -1,6 +1,7 @@
 """Gated reward semantics: parsing, gates, ablations, exact values."""
 
 import dataclasses
+import math
 from decimal import Decimal
 from fractions import Fraction
 
@@ -163,6 +164,10 @@ class TestLengthGate:
             length_gate("x", [], CFG)
         with pytest.raises(ValueError):
             length_gate("x", [3, 0], CFG)
+        # A mean that is not a finite float: an int past float range, NaN, infinity.
+        for refs in ([10**400], [math.nan], [math.inf], [2, math.nan]):
+            with pytest.raises(ValueError, match="finite mean"):
+                length_gate("x", refs, CFG)
 
 
 class TestCanonicalRewards:
