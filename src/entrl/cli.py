@@ -302,6 +302,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from None
     lexicon_path = args.lexicon or section.get("lexicon")
+    if lexicon_path is not None and not isinstance(lexicon_path, str):
+        raise CliError(f"bad train config: lexicon must be a path string, got {lexicon_path!r}")
     if not lexicon_path:
         raise CliError("no lexicon: pass --lexicon or set train.lexicon in the config")
     try:

@@ -69,6 +69,10 @@ MAX_BATCH_ROLLOUTS = 2**18
 # A group whose reward std is below this gets all-zero advantages.
 STD_FLOOR = 1e-6
 
+# Cells of one padded block in _row_sums (~17 MB with its index and mask): one long row must not
+# pad every short one to its length.
+ROW_SUM_CELLS = 2**20
+
 
 @dataclass(frozen=True)
 class OptimConfig:
@@ -239,45 +243,26 @@ def _check_groups(policy, groups: list[RolloutGroup]) -> _Batch:
     )
 
 
-# numpy's pairwise summation (PW_BLOCKSIZE in loops_utils.h): a row of at most this many elements is
-# summed into 8 accumulators, then the remainder is added in order; a longer row is split in two.
-_PAIRWISE_BLOCK = 128
-
-
-def _pairwise(padded: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """numpy's ``pairwise_sum`` of each row ``padded[starts[i]:starts[i] + lengths[i]]``, where
-    ``padded[-1]`` is 0.0.  All rows run in one block padded with that 0.0, and an added 0.0 changes a
-    partial sum at most in the sign of a zero, which the reduction's leading 0.0 erases."""
-    if (long := lengths > _PAIRWISE_BLOCK).any():
-        out, short, n = np.empty(len(lengths)), ~long, lengths[long]
-        half = n // 2 - n // 2 % 8
-        out[long] = (_pairwise(padded, starts[long], half)
-                     + _pairwise(padded, starts[long] + half, n - half))
-        out[short] = _pairwise(padded, starts[short], lengths[short])
-        return out
-    pad, n_rows = len(padded) - 1, len(lengths)
-    # A row of 8 or more sums its multiple of 8 into 8 accumulators, then adds them as a tree;
-    # a shorter row starts from 0.0.  Then the rest of the row is added in order.  Column i of
-    # each block below is row i.
-    unrolled = np.where(lengths < 8, 0, lengths - lengths % 8)
-    cols = np.arange(int(unrolled.max(initial=0)))[:, None]
-    acc = np.zeros((8, n_rows))
-    for block in padded[np.where(cols < unrolled, starts + cols, pad)].reshape(len(cols) // 8, 8, n_rows):
-        acc += block
-    acc = acc[0::2] + acc[1::2]
-    acc = acc[0::2] + acc[1::2]
-    out = acc[0] + acc[1]
-    rest = lengths - unrolled
-    cols = np.arange(int(rest.max(initial=0)))[:, None]
-    for column in padded[np.where(cols < rest, starts + unrolled + cols, pad)]:
-        out += column
-    return out
-
-
 def _row_sums(flat: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """``np.add.reduce`` of each row ``flat[starts[i]:starts[i] + lengths[i]]``, byte for byte as on
-    that row alone: the reduction's 0.0 plus numpy's pairwise sum of the row."""
-    return 0.0 + _pairwise(np.append(flat, 0.0), starts, lengths)
+    that row alone, infinities and NaNs included.
+
+    The rows are padded into one block, and a masked reduce hands each row's cells to numpy's own
+    summation in one run.  A block past ``ROW_SUM_CELLS`` cells is split by each row's bit length,
+    so padding at most doubles a row."""
+    out = np.empty(len(lengths))
+    if len(lengths) * int(lengths.max(initial=0)) <= ROW_SUM_CELLS:
+        groups = [slice(None)]
+    else:
+        bits = np.frexp(lengths)[1]
+        groups = [bits == b for b in set(bits.tolist())]
+    for rows in groups:
+        n = lengths[rows]
+        cols = np.arange(n.max(initial=0))
+        inside = cols < n[:, None]
+        block = flat[np.where(inside, starts[rows, None] + cols, 0)]
+        out[rows] = np.add.reduce(block, axis=1, where=inside, initial=0.0)
+    return out
 
 
 def _live_ratios(policy, batch: _Batch, rollouts: np.ndarray):

@@ -1166,8 +1166,12 @@ def load_policy(path: str | Path, lexicon: SyntheticLexicon) -> ToyPolicy:
         if temperature.ndim or temperature.dtype.kind not in "fiu":
             raise ValueError(f"policy file temperature must be a real scalar, got {temperature!r}")
         _check_int("policy file snapshot_version", version, 0)
-        policy = ToyPolicy(lexicon, data["logits"], float(temperature))
-        params_old = np.asarray(data["params_old"], dtype=float)
+        logits, params_old = data["logits"], data["params_old"]
+        for name, table in (("logits", logits), ("params_old", params_old)):
+            if table.dtype.kind not in "fiu":
+                raise ValueError(f"policy file {name} must hold real numbers, got dtype {table.dtype}")
+        policy = ToyPolicy(lexicon, logits, float(temperature))
+        params_old = params_old.astype(float, copy=False)
         if params_old.shape != policy.logits.shape:
             raise ValueError(f"params_old shape {params_old.shape} != {policy.logits.shape}")
         if not (np.isfinite(policy.logits).all() and np.isfinite(params_old).all()):

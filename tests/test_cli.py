@@ -595,6 +595,17 @@ class TestTrainCommand:
             assert capsys.readouterr().err.startswith("error: bad train config: "), (train, flags)
             assert not out.exists(), (train, flags)
 
+    @pytest.mark.parametrize("lexicon", ["5", "true", '["x"]'])
+    def test_non_string_lexicon_in_config_reported(self, tmp_path, capsys, lexicon):
+        out, cfg = tmp_path / "o", tmp_path / "cfg.json"
+        cfg.write_text('{"train": {"lexicon": ' + lexicon + "}}")
+        code = main(["train", "--config", str(cfg), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad train config: lexicon must be a path string")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_non_integer_group_size_rejected_before_prior(self, tmp_path, capsys, monkeypatch):
         task = tmp_path / "task"
         assert main(["gen", "--seed", "42", "--out", str(task)]) == 0

@@ -3,6 +3,7 @@ the update step's gradient against finite differences."""
 
 import dataclasses
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from entrl import (
     seq_importance_ratio,
     surrogate_objective,
 )
+import entrl.optim as optim
 from entrl.optim import MAX_BATCH_ROLLOUTS, STD_FLOOR, _row_sums
 from oracles.fd_grad import (
     analytic_gradient,
@@ -115,8 +117,6 @@ class TestGroupAdvantages:
             assert row.tobytes() == group_advantages(rewards).tobytes()
 
     def test_one_call_per_group_size(self, monkeypatch):
-        import entrl.optim as optim
-
         policy, groups = build_fixture(seed=0, n_groups=6, group_size=4)
         # Two more sizes: groups of 3 and of 5 members.
         groups += [RolloutGroup(g.prompt_id, g.members[:3], g.snapshot_version) for g in groups[:2]]
@@ -135,7 +135,8 @@ class TestGroupAdvantages:
         assert batch.advantages.tobytes() == np.concatenate(expected).tobytes()
 
 
-ROW_SUM_SPECIALS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300])
+ROW_SUM_SPECIALS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+                             np.inf, -np.inf, np.nan])
 
 
 def _reduce_each(flat, lengths):
@@ -143,15 +144,26 @@ def _reduce_each(flat, lengths):
     return np.array([np.add.reduce(flat[a:a + n]) for a, n in zip(starts, lengths)])
 
 
+@pytest.fixture(scope="class", params=[None, 1], ids=["one-block", "split-by-bit-length"])
+def row_sum_cells(request):
+    """Runs a class as is, then with every batch of rows past ``ROW_SUM_CELLS``."""
+    with pytest.MonkeyPatch.context() as mp:
+        if request.param is not None:
+            mp.setattr(optim, "ROW_SUM_CELLS", request.param)
+        yield
+
+
+@pytest.mark.usefixtures("row_sum_cells")
 class TestRowSums:
-    # The ratios and the metrics' entropy sums rest on this row sum following
-    # numpy's own summation order: 8 accumulators up to 128 elements, halves above.
+    # The ratios and the metrics' entropy sums rest on each row sum being
+    # numpy's reduce of that row alone, NaN signs included, in one padded
+    # block or split into blocks by bit length.
     @given(st.lists(st.integers(1, 300), min_size=1, max_size=6), st.integers(0, 2**32 - 1),
            st.sampled_from([0.0, 0.1, 0.5, 1.0]))
     @settings(max_examples=300, deadline=None)
     def test_each_row_is_numpys_reduce_of_that_row(self, lengths, seed, special_share):
-        # Magnitudes across the float range, with signed zeros, subnormals and
-        # +-1e300 mixed in at the drawn share.
+        # Magnitudes across the float range, with signed zeros, subnormals,
+        # +-1e300, +-inf and nan mixed in at the drawn share.
         lengths = np.array(lengths)
         rng = np.random.default_rng(seed)
         flat = rng.normal(size=lengths.sum()) * 10.0 ** rng.integers(-320, 300, size=lengths.sum())
@@ -175,6 +187,20 @@ class TestRowSums:
         assert _row_sums(flat, starts, lengths).tobytes() == np.array(
             [np.add.reduce(flat[a:a + n]) for a, n in zip(starts, lengths)]).tobytes()
         assert _row_sums(flat, np.array([], int), np.array([], int)).shape == (0,)
+
+    def test_one_long_row_does_not_pad_the_short_ones(self):
+        # One block of 1,025 rows x 10,000 columns would take ~170 MB with its index and mask.
+        lengths = np.append(np.full(1024, 3), 10_000)
+        flat = np.random.default_rng(0).normal(size=lengths.sum())
+        starts = np.cumsum(lengths) - lengths
+        tracemalloc.start()
+        try:
+            got = _row_sums(flat, starts, lengths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert got.tobytes() == _reduce_each(flat, lengths).tobytes()
 
 
 class TestSeqImportanceRatio:

@@ -44,6 +44,26 @@ assert main(["passk", "--input", passk_in, "--ks", "1,2", "--output", out + ".pa
 print(json.dumps([m for m in ("numpy", "entrl.toytask", "entrl.optim") if m in sys.modules]))
 """
 
+# Builds a prior, trains 2 steps and measures pass@1, then prints whether numpy.ma was loaded:
+# np.unique and friends import it on first use, at ~1.2 MB of peak RSS.
+TRAINING = """
+import json, sys
+from entrl import (OptimConfig, PolicyConfig, gen_lexicon, init_activation_prior, measure_pass_at_k,
+                   toy_reward_config, train)
+lexicon = gen_lexicon(seed=1)
+policy = init_activation_prior(lexicon, PolicyConfig(), target_pass1_max=0.10, seed=1)
+train(lexicon, policy, toy_reward_config(), OptimConfig(learning_rate=4.0), steps=2, seed=1)
+measure_pass_at_k(policy, lexicon.train_ids, n=16, ks=(1,), seed=1)
+print(json.dumps("numpy.ma" in sys.modules))
+"""
+
+
+def _child_env() -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "ENTRL_CONFIG"}
+    src = str(Path(entrl.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
 
 def test_all_holds_every_public_name_once():
     assert len(PAIRS) == 46
@@ -95,12 +115,16 @@ def test_scoring_commands_load_neither_numpy_nor_the_trainer(tmp_path):
     score_in.write_text(lines, encoding="utf-8")
     passk_in = tmp_path / "counts.jsonl"
     passk_in.write_text('{"n": 4, "c": 1}\n{"n": 4, "c": 3}\n', encoding="utf-8")
-    env = {k: v for k, v in os.environ.items() if k != "ENTRL_CONFIG"}
-    src = str(Path(entrl.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", COMMANDS, str(score_in), str(passk_in), str(tmp_path / "out")],
-        input=lines, env=env, capture_output=True, text=True, timeout=60,
+        input=lines, env=_child_env(), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def test_training_does_not_load_numpy_ma():
+    proc = subprocess.run([sys.executable, "-c", TRAINING], env=_child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) is False

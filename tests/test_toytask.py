@@ -1115,6 +1115,10 @@ class TestPolicySerialization:
         ("params_old", np.full((6, 32, 33), np.nan), "shape"),
         ("params_old", np.full((6, 32, 32), np.nan), "non-finite"),
         ("logits", np.full((6, 32, 32), np.inf), "non-finite"),
+        ("logits", np.zeros((6, 32, 32), complex), "logits must hold real numbers"),
+        ("logits", np.zeros((6, 32, 32), bool), "logits must hold real numbers"),
+        ("params_old", np.zeros((6, 32, 32), complex), "params_old must hold real numbers"),
+        ("params_old", np.ones((6, 32, 32), bool), "params_old must hold real numbers"),
         ("temperature", np.array([1.0, 1.0]), "temperature must be a real scalar"),
         ("temperature", np.asarray("1.0"), "temperature must be a real scalar"),
         ("snapshot_version", np.asarray(1.5), "snapshot_version must be an integer"),
